@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from . import dimensions, geometry, incidence, ranks
-from .errors import PolarankError, RangeError, ResourceCapExceeded
+from .errors import InvariantError, PolarankError, RangeError, ResourceCapExceeded
 from .gf import build_field
 from .reports import RankReport, Timer, field_descriptor, library_version
 
@@ -34,10 +34,8 @@ class VerifyJob:
     t: int
     r: int
     mode: str = "cross-validate"
-    out: str | None = None
     max_cells: int = DEFAULT_CELL_CAP
     force: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.m < 2:
@@ -151,7 +149,11 @@ def cmd_export(job: VerifyJob, path: str, fmt: str = "v1") -> dict:
         incidence.write_matrix(mat, path)
     sums_r = set(mat.row_sums())
     sums_c = set(mat.col_sums())
-    assert len(sums_r) == 1 and len(sums_c) == 1
+    if len(sums_r) != 1 or len(sums_c) != 1:
+        raise InvariantError(
+            f"incidence is not a configuration: row sums {sorted(sums_r)}, "
+            f"column sums {sorted(sums_c)}"
+        )
     return {
         "report": "export-metadata",
         "m": job.m,
@@ -246,12 +248,6 @@ def _add_common(sub, *flags):
     if "r" in flags:
         sub.add_argument("--r", type=int, required=True, help="flat dimension, 1..2m-1")
     sub.add_argument("--out", default=None, help="write the report to this path")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface compatibility; kernels are single-threaded",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp_table.add_argument("--t-max", type=int, required=True)
     sp_table.add_argument("--format", choices=["json", "csv"], default="json")
     sp_table.add_argument("--out", default=None)
-    sp_table.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
     sp_export = sub.add_parser("export", help="write an incidence matrix file plus metadata")
     _add_common(sp_export, "m", "p", "t", "r")
@@ -286,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp_rank = sub.add_parser("rank", help="rank of a matrix file over its modulus")
     sp_rank.add_argument("matrixfile")
     sp_rank.add_argument("--out", default=None)
-    sp_rank.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
     sp_formula = sub.add_parser("formula", help="formula rank only (no matrix build)")
     _add_common(sp_formula, "m", "p", "t", "r")
@@ -296,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp_dm.add_argument("--m", type=int, required=True)
     sp_dm.add_argument("--p", type=int, required=True)
     sp_dm.add_argument("--out", default=None)
-    sp_dm.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
     sp_po = sub.add_parser("posets", help="dump H, H[d], S as JSON or a DOT Hasse diagram")
     sp_po.add_argument("--m", type=int, required=True)
@@ -305,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp_po.add_argument("--d", type=int, default=0)
     sp_po.add_argument("--dot", choices=["h", "s"], default=None, help="emit DOT for this poset instead of JSON")
     sp_po.add_argument("--out", default=None)
-    sp_po.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
     sp_lab = sub.add_parser("lab", help="function-space laboratory")
     lab_sub = sp_lab.add_subparsers(dest="lab_command", required=True)
@@ -314,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp_lemmas.add_argument("--p", type=int, required=True)
     sp_lemmas.add_argument("--t", type=int, required=True)
     sp_lemmas.add_argument("--out", default=None)
-    sp_lemmas.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
     return ap
 
@@ -326,8 +317,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             job = VerifyJob(
                 args.m, args.p, args.t, args.r,
-                mode=args.mode, out=args.out,
-                max_cells=args.max_cells, force=args.force, threads=args.threads,
+                mode=args.mode, max_cells=args.max_cells, force=args.force,
             )
             doc, code = cmd_verify(job)
             _emit(doc, args.out)
@@ -337,7 +327,7 @@ def main(argv=None) -> int:
         elif args.command == "export":
             job = VerifyJob(
                 args.m, args.p, args.t, args.r,
-                max_cells=args.max_cells, force=args.force, threads=args.threads,
+                max_cells=args.max_cells, force=args.force,
             )
             doc = cmd_export(job, args.matrix_out, args.format)
             _emit(doc, args.out)

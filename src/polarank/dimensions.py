@@ -1,5 +1,10 @@
 """Dimension tables and the exact p-rank formulas.
 
+The p-rank of the point-vs-r-flat incidence of W(2m-1, p^t) is 1 + Tr(A^t)
+for the (2m-r) x (2m-r) transfer matrix A, for every 1 <= r <= 2m-1.  The
+signed (r = m) and unsigned ideal sums, whose cost grows as (2m-r)^t, are
+the definition of the rank and are kept as the reference tests compare with.
+
 Everything here is arbitrary-precision integer arithmetic: the eigenvalues
 behind the closed forms are quadratic irrationals, so power sums are computed
 through the trace/determinant linear recurrence of the transfer matrix rather
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CompositeP, ParityError, RangeError, UnsupportedCharacteristic
+from .errors import CompositeP, InvariantError, ParityError, RangeError, UnsupportedCharacteristic
 from .gf import is_prime
 from .posets import HType, SignedHType, ideal_below, signed_ideal_below
 
@@ -75,13 +80,12 @@ def dimension_table(m: int, p: int) -> DimensionTable:
     for lam in range(hi + 1):
         formula = dim_S_lambda(m, p, lam)
         oracle = count_digit_tuples(m, p, lam)
-        assert formula == oracle, (m, p, lam, formula, oracle)
+        if formula != oracle:
+            raise InvariantError(f"d_{lam} for m={m}, p={p}: {formula} != digit count {oracle}")
         vals.append(formula)
-    table = DimensionTable(m, p, tuple(vals))
-    assert table.d[0] == table.d[hi] == 1
-    assert all(table.d[i] == table.d[hi - i] for i in range(hi + 1))
-    assert sum(table.d) == p ** (2 * m)
-    return table
+    if vals[0] != 1 or vals != vals[::-1] or sum(vals) != p ** (2 * m):
+        raise InvariantError(f"d_lambda for m={m}, p={p} is not a symmetric split of p^(2m)")
+    return DimensionTable(m, p, tuple(vals))
 
 
 def dim_S_plus_minus(m: int, p: int) -> tuple:
@@ -133,23 +137,12 @@ def dim_Y_unsigned(h: HType) -> int:
 def rank_point_flat(m: int, p: int, t: int, r: int) -> int:
     """Formula p-rank of the point-vs-r-flat incidence of W(2m-1, p^t).
 
-    r = m uses the signed ideal below ((m,...,m), all positions); any other r
-    uses the unsigned ideal below (2m-r, ..., 2m-r).
+    1 + Tr(A^t) for the (2m-r) x (2m-r) transfer matrix A of
+    `build_D_matrix(m, p, r)`, for every 1 <= r <= 2m-1.  The reference it
+    is tested against is 1 + dim_Y_signed of ((m,...,m), all positions) for
+    r = m and 1 + dim_Y_unsigned of (2m-r, ..., 2m-r) for any other r.
     """
-    if p == 2:
-        raise UnsupportedCharacteristic("odd p only; see rank_W3_char2")
-    _require_odd_prime(p)
-    if m < 2 or t < 1:
-        raise RangeError(f"need m >= 2 and t >= 1, got m={m}, t={t}")
-    if not 1 <= r <= 2 * m - 1:
-        raise RangeError(f"r={r} outside [1, {2 * m - 1}]")
-    if r == m:
-        s_m = HType(m, p, t, (m,) * t, 0)
-        eps_m = frozenset(range(t))
-        assert eps_m == s_m.j_set()
-        return 1 + dim_Y_signed(SignedHType(s_m, eps_m))
-    s_r = HType(m, p, t, (2 * m - r,) * t, 0)
-    return 1 + dim_Y_unsigned(s_r)
+    return 1 + build_D_matrix(m, p, r).trace_power(t)
 
 
 # -- transfer matrix -----------------------------------------------------------
@@ -157,23 +150,27 @@ def rank_point_flat(m: int, p: int, t: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class DMatrix:
-    """m x m per-digit dimension matrix; trace of its t-th power gives ranks."""
+    """Square per-digit dimension matrix; trace of its t-th power gives ranks."""
 
     m: int
     p: int
-    entries: tuple  # tuple of m tuples, 1-based indices shifted down
+    entries: tuple  # tuple of n tuples, 1-based indices shifted down
 
     def trace_power(self, t: int) -> int:
         if t < 1:
             raise RangeError("t must be positive")
-        a = [list(row) for row in self.entries]
-        out = [row[:] for row in a]
-        for _ in range(t - 1):
-            out = _int_matmul(out, a)
-        return sum(out[i][i] for i in range(self.m))
+        base = [list(row) for row in self.entries]
+        out = None
+        while True:  # repeated squaring
+            if t & 1:
+                out = base if out is None else _int_matmul(out, base)
+            t >>= 1
+            if not t:
+                return sum(out[i][i] for i in range(len(out)))
+            base = _int_matmul(base, base)
 
     def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.m))
+        return sum(self.entries[i][i] for i in range(len(self.entries)))
 
     def det(self) -> int:
         return _int_det([list(r) for r in self.entries])
@@ -208,31 +205,35 @@ def _int_det(a):
     return sign * a[n - 1][n - 1]
 
 
-def _d_matrix_entries(m: int, p: int) -> tuple:
+def _d_matrix_entries(m: int, p: int, r: int) -> tuple:
     """Transfer-matrix entries; valid at p = 2 as pure combinatorics."""
     table_vals = [count_digit_tuples(m, p, lam) for lam in range(2 * m * (p - 1) + 1)]
-    d_mid = table_vals[m * (p - 1)]
-    assert (d_mid + p**m) % 2 == 0
-    plus = (d_mid + p**m) // 2
-    rows = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            if i == m and j == m:
-                row.append(plus)
-            else:
-                lam = p * j - i
-                row.append(table_vals[lam] if 0 <= lam < len(table_vals) else 0)
-        rows.append(tuple(row))
-    return tuple(rows)
+    n = 2 * m - r
+    # d_lambda = 0 outside [0, 2m(p-1)]; p*j - i lies in [p - n, p*n - 1], so
+    # indices past either end of the table land in the zero padding
+    padded = table_vals + [0] * p * n
+    rows = [[padded[p * j - i] for j in range(1, n + 1)] for i in range(1, n + 1)]
+    if r == m:
+        d_mid = table_vals[m * (p - 1)]
+        if (d_mid + p**m) % 2 != 0:
+            raise ParityError(f"d_mid={d_mid} and p^m={p**m} have different parity")
+        rows[m - 1][m - 1] = (d_mid + p**m) // 2
+    return tuple(tuple(row) for row in rows)
 
 
-def build_D_matrix(m: int, p: int) -> DMatrix:
-    """D[i][j] = d_(i,j): dim S+ at (m, m), else d_{p*j - i}."""
+def build_D_matrix(m: int, p: int, r: int = None) -> DMatrix:
+    """The (2m-r) x (2m-r) transfer matrix of r-flats; r defaults to m.
+
+    A[i][j] = d_{p*j - i} for 1 <= i, j <= 2m-r (0 outside the table), except
+    that for r = m the (m, m) corner is dim S+.
+    """
     _require_odd_prime(p)
     if m < 2:
         raise RangeError("m >= 2")
-    return DMatrix(m, p, _d_matrix_entries(m, p))
+    r = m if r is None else r
+    if not 1 <= r <= 2 * m - 1:
+        raise RangeError(f"r={r} outside [1, {2 * m - 1}]")
+    return DMatrix(m, p, _d_matrix_entries(m, p, r))
 
 
 def _power_sum(trace: int, det: int, t: int) -> int:
@@ -258,7 +259,8 @@ def rank_W3_closed_form(p: int, t: int) -> int:
         raise RangeError("t must be positive")
     d = build_D_matrix(2, p)
     trace = d.trace()
-    assert trace == p * (p + 1) ** 2 // 2
+    if trace != p * (p + 1) ** 2 // 2:
+        raise InvariantError(f"trace {trace} of the p={p} transfer matrix != p(p+1)^2/2")
     return 1 + _power_sum(trace, d.det(), t)
 
 
@@ -267,7 +269,7 @@ def rank_W3_char2(t: int) -> int:
 
     1 + beta_1^(2t) + beta_2^(2t) with beta = (1 +- sqrt(17))/2, via
     b_n = b_{n-1} + 4 b_{n-2}.  The odd-p closed form specialized to p = 2
-    must give the same numbers; that identity is asserted here.
+    must give the same numbers; that identity is checked here.
     """
     if t < 1:
         raise RangeError("t must be positive")
@@ -275,8 +277,8 @@ def rank_W3_char2(t: int) -> int:
     for _ in range(2 * t - 1):
         b_prev, b_cur = b_cur, b_cur + 4 * b_prev
     via_beta = 1 + b_cur
-    entries = _d_matrix_entries(2, 2)
-    d2 = DMatrix(2, 2, entries)
+    d2 = DMatrix(2, 2, _d_matrix_entries(2, 2, 2))
     via_odd_form = 1 + _power_sum(d2.trace(), d2.det(), t)
-    assert via_beta == via_odd_form, (t, via_beta, via_odd_form)
+    if via_beta != via_odd_form:
+        raise InvariantError(f"t={t}: beta recurrence {via_beta} != odd-p form {via_odd_form}")
     return via_beta

@@ -42,6 +42,10 @@ class ParityError(PolarankError, ArithmeticError):
     """A quantity that must be even came out odd."""
 
 
+class InvariantError(PolarankError, ArithmeticError):
+    """An identity that two independent routes must satisfy came out false."""
+
+
 class ContextMismatch(PolarankError, ValueError):
     """Functions from different (m, p, t) contexts were combined."""
 

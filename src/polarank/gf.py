@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CompositeP, DivisionByZero, FieldMismatch, RangeError
 
 _TABLE_LIMIT = 4096  # largest q for which full q*q tables are built
@@ -91,17 +93,6 @@ def _poly_mod(a, mod, p):
     return _poly_trim(tuple(a))
 
 
-def _poly_powmod(a, e, mod, p):
-    result = (1,)
-    base = _poly_mod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
 def _poly_rem(a, b, p):
     """Remainder of a by b (b nonzero), coefficients mod p."""
     r = list(_poly_trim(tuple(a)))
@@ -123,18 +114,41 @@ def _poly_gcd(a, b, p):
 
 
 def _is_irreducible(poly, p):
-    """Rabin's test for a monic polynomial over GF(p)."""
+    """Rabin's test for a monic polynomial over GF(p).
+
+    Residues mod poly are length-t coefficient vectors, and g -> g^p is a
+    linear map on them, so x^(p^k) takes k matrix-vector products.
+    """
     t = len(poly) - 1
     if t == 1:
         return True
-    x = (0, 1)
-    # x^(p^t) == x  (mod poly)
-    if _poly_powmod(x, p**t, poly, p) != x:
+    if poly[0] == 0 or sum(poly) % p == 0:  # X or X - 1 divides it
+        return False
+    # every sum below is at most t*(p-1)^2; float64 holds such integers
+    # exactly below 2^53 and takes the BLAS product path
+    eye = np.eye(t, dtype=np.float64 if t * (p - 1) ** 2 < 2**53 else object)
+    by_x = np.roll(eye, 1, axis=0)  # the matrix of h -> x*h mod poly
+    by_x[:, -1] = [-c % p for c in poly[:t]]
+    by_xp, e = eye, p  # h -> x^p * h, by square-and-multiply
+    while e:
+        if e & 1:
+            by_xp = by_xp @ by_x % p
+        e >>= 1
+        if e:
+            by_x = by_x @ by_x % p
+    cols = [eye[0]]  # the Frobenius matrix, columns x^(p*i)
+    for _ in range(t - 1):
+        cols.append(by_xp @ cols[-1] % p)
+    frob = np.stack(cols, axis=1)
+    x = eye[1]
+    powers = [x]  # x^(p^k) for k = 0..t
+    for _ in range(t):
+        powers.append(frob @ powers[-1] % p)
+    if not np.array_equal(powers[t], x):
         return False
     # no factor of degree t/r for prime divisors r of t
     for r in _prime_divisors(t):
-        xp = _poly_powmod(x, p ** (t // r), poly, p)
-        diff = _poly_sub(xp, x, p)
+        diff = _poly_sub(tuple(int(c) for c in powers[t // r]), (0, 1), p)
         if len(_poly_gcd(poly, diff, p)) > 1:
             return False
     return True
@@ -314,8 +328,6 @@ class FieldSpec:
         pow is a q x q array with pow[a, k] = a^k for 0 <= k < q, 0^0 = 1.
         """
         if self._np_tables is None:
-            import numpy as np
-
             add, mul, neg, inv, _ = self._ensure_tables()
             q = self.q
             dtype = np.uint8 if q <= 255 else np.uint16
@@ -455,23 +467,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"GF({self.field.q}):{self.coeffs}"
-
-
-def field_arithmetic(a: FieldElement, b=None, op: str = "add", n: int = None):
-    """Dispatch one arithmetic operation; op in {add, sub, mul, inv, pow, frobenius}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    if op == "pow":
-        return a ** (n if n is not None else 1)
-    if op == "frobenius":
-        return a.frobenius()
-    raise RangeError(f"unknown op {op!r}")
 
 
 def enumerate_field(spec: FieldSpec) -> list:

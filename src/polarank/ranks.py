@@ -1,12 +1,14 @@
 """Exact rank over GF(p): the brute-force oracle behind every formula check.
 
-The kernel keeps a Gauss-Jordan-reduced row basis packed one residue per byte
-lane (eight per 64-bit word through numpy's vector ops), with reduction mod p
-delayed until a lane could overflow.  Because every basis row is zero at all
-pivot columns except its own, an incoming row is reduced in a single pass
-over the pivot columns where it is nonzero; for sparse 0/1 incidence rows
-that is at most nnz(row) vector operations, which is what makes the
-20440 x 20440 case tractable.  Memory is (current rank) x cols lanes.
+The kernel keeps a Gauss-Jordan-reduced row basis packed one residue per
+lane, with reduction mod p delayed until a lane could overflow.  The lane is
+the narrowest unsigned integer that holds (p-1) + (p-1)^2: one byte (eight
+per 64-bit word through numpy's vector ops) for p <= 15, then 16, 32 or 64
+bits.  Because every basis row is zero at all pivot columns except its own,
+an incoming row is reduced in a single pass over the pivot columns where it
+is nonzero; for sparse 0/1 incidence rows that is at most nnz(row) vector
+operations, which is what makes the 20440 x 20440 case tractable.  Memory is
+(current rank) x cols lanes.
 
 Pivoting is first-nonzero, so results are deterministic.
 """
@@ -28,16 +30,19 @@ class DenseRowPacked:
         self.p = p
         self.cols = cols
         # a reduced lane is <= p-1; one unreduced add contributes (p-1)^2
-        if (p - 1) + (p - 1) ** 2 <= 255:
-            self.dtype = np.uint8
-        else:
-            self.dtype = np.uint16
+        lane_need = (p - 1) + (p - 1) ** 2
+        self.dtype = next(
+            (dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64)
+             if lane_need <= np.iinfo(dt).max),
+            None,
+        )
+        if self.dtype is None:
+            raise RangeError(f"modulus {p} is too large for a 64-bit lane")
         lane_max = np.iinfo(self.dtype).max
         self._adds_budget = max(1, (lane_max - (p - 1)) // max(1, (p - 1) ** 2))
         self._rows = np.zeros((capacity, cols), dtype=self.dtype)
         self._pivot_cols: list[int] = []
         self._pivot_arr = np.zeros(capacity, dtype=np.int64)
-        self._inv = [0] + [pow(i, p - 2, p) for i in range(1, p)]
 
     @property
     def rank(self) -> int:
@@ -90,7 +95,7 @@ class DenseRowPacked:
         c = int(nz_row[0])
         lead = int(row[c])
         if lead != 1:
-            row = (row * self.dtype(self._inv[lead])) % p
+            row = (row * self.dtype(pow(lead, -1, p))) % p
         if r:
             col = self._rows[:r, c]
             hit = np.flatnonzero(col)

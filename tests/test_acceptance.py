@@ -91,17 +91,20 @@ def test_criterion_4_w327_lines_streaming():
     report(4, ok, f"W(3,27) formula {formula} streaming oracle {oracle} in {elapsed:.0f}s")
 
 
-def test_criterion_5_summation_equals_trace_power():
-    bad = []
-    for m in (2, 3):
-        for p in (3, 5, 7):
-            d = build_D_matrix(m, p)
-            for t in range(1, 7):
-                lhs = rank_point_flat(m, p, t, m)  # signed-ideal summation
-                rhs = 1 + d.trace_power(t)
-                if lhs != rhs:
-                    bad.append((m, p, t, lhs, rhs))
-    report(5, not bad, f"signed-ideal sum vs 1+Trace(D^t), 36 cases, mismatches: {bad}")
+def test_criterion_5_summation_equals_trace_power(ideal_sum_rank):
+    cases = [
+        (m, p, t, r)
+        for m in (2, 3)
+        for p in (3, 5, 7)
+        for t in range(1, 7)
+        for r in range(1, 2 * m)
+    ]
+    bad = [c for c in cases if rank_point_flat(*c) != ideal_sum_rank(*c)]
+    report(
+        5,
+        not bad,
+        f"1+Trace(A_r^t) vs signed/unsigned ideal sums, {len(cases)} cases, mismatches: {bad}",
+    )
 
 
 def test_criterion_6_char2_comparison():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from polarank import dimensions
 from polarank.dimensions import (
     build_D_matrix,
     dim_L_signed,
@@ -15,7 +16,8 @@ from polarank.dimensions import (
     rank_W3_closed_form,
     rank_point_flat,
 )
-from polarank.errors import RangeError, UnsupportedCharacteristic
+from polarank.errors import InvariantError, ParityError, RangeError, UnsupportedCharacteristic
+from polarank.geometry import point_count
 from polarank.posets import HType, SignedHType, enumerate_S, signed_leq
 
 
@@ -117,6 +119,13 @@ def test_D_matrix_m2():
     d = build_D_matrix(2, 3)
     assert d.entries == ((10, 16), (4, 14))
     assert d.trace() == 24 and d.det() == 76
+    assert build_D_matrix(2, 3, 2) == d
+    # r = 1: no dim S+ corner, d_{3j-i} with d_7 = 4, d_8 = 1 and d_9 = 0
+    assert build_D_matrix(2, 3, 1).entries == ((10, 16, 1), (4, 19, 4), (1, 16, 10))
+    assert build_D_matrix(2, 3, 3).entries == ((10,),)
+    for r in (0, 4):
+        with pytest.raises(RangeError):
+            build_D_matrix(2, 3, r)
     # closed polynomial form p(p+1)/6 * [[p+2, 4(p-1)], [p-1, 2p+1]]
     for p in (3, 5, 7, 11):
         dm = build_D_matrix(2, p)
@@ -154,12 +163,20 @@ def test_D_matrix_m3_paper_polynomials():
     assert build_D_matrix(3, 3).trace() == 195
 
 
-def test_trace_power_equals_ideal_sum():
+def test_trace_power_equals_ideal_sum(ideal_sum_rank):
     for m in (2, 3):
         for p in (3, 5, 7):
-            d = build_D_matrix(m, p)
-            for t in range(1, 7):
-                assert 1 + d.trace_power(t) == rank_point_flat(m, p, t, m)
+            for r in range(1, 2 * m):
+                d = build_D_matrix(m, p, r)
+                assert len(d.entries) == 2 * m - r
+                for t in range(1, 7):
+                    assert 1 + d.trace_power(t) == ideal_sum_rank(m, p, t, r)
+
+
+def test_rank_point_flat_large_t():
+    # (2m-r)^200 ideal elements: out of reach of the ideal sums
+    assert rank_point_flat(2, 3, 200, 2) == rank_W3_closed_form(3, 200)
+    assert rank_point_flat(3, 7, 100, 1) == point_count(3, 7**100)
 
 
 def test_closed_form_examples_and_recurrence_route():
@@ -170,6 +187,24 @@ def test_closed_form_examples_and_recurrence_route():
         d = build_D_matrix(2, p)
         for t in range(1, 9):
             assert rank_W3_closed_form(p, t) == 1 + d.trace_power(t)
+
+
+def test_broken_invariants_raise(monkeypatch):
+    monkeypatch.setattr(dimensions, "_power_sum", lambda trace, det, t: 0)
+    with pytest.raises(InvariantError):
+        rank_W3_char2(3)
+    monkeypatch.undo()
+    monkeypatch.setattr(dimensions.DMatrix, "trace", lambda self: 0)
+    with pytest.raises(InvariantError):
+        rank_W3_closed_form(3, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        dimensions, "count_digit_tuples", lambda m, p, lam: count_digit_tuples(m, p, lam) + 1
+    )
+    with pytest.raises(InvariantError):
+        dimension_table.__wrapped__(2, 3)
+    with pytest.raises(ParityError):
+        build_D_matrix(2, 3)
 
 
 def test_char2_values_and_cross_route():

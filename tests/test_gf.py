@@ -4,7 +4,15 @@ import random
 import pytest
 
 from polarank.errors import CompositeP, DivisionByZero, FieldMismatch
-from polarank.gf import binom_mod_p, build_field, enumerate_field, field_arithmetic
+from polarank.gf import (
+    _is_irreducible,
+    _poly_gcd,
+    _poly_mulmod,
+    _poly_sub,
+    binom_mod_p,
+    build_field,
+    enumerate_field,
+)
 
 
 def brute_force_modulus(p, t):
@@ -57,6 +65,53 @@ def test_modulus_matches_exhaustive_scan(p, t):
     assert build_field(p, t).modulus == brute_force_modulus(p, t)
 
 
+@pytest.mark.parametrize("p,t", [(2, 8), (3, 6), (5, 4), (7, 3), (11, 2)])
+def test_irreducible_count_matches_necklace_formula(p, t):
+    """Gauss: (1/t) * sum over d | t of mu(d) p^(t/d) monic irreducibles."""
+
+    def mobius(n):
+        out, d = 1, 2
+        while d * d <= n:
+            if n % d == 0:
+                n //= d
+                if n % d == 0:
+                    return 0
+                out = -out
+            d += 1
+        return -out if n > 1 else out
+
+    expected = sum(mobius(d) * p ** (t // d) for d in range(1, t + 1) if t % d == 0) // t
+    found = sum(
+        _is_irreducible(tail + (1,), p) for tail in itertools.product(range(p), repeat=t)
+    )
+    assert found == expected
+
+
+def test_modulus_matches_tuple_arithmetic_scan():
+    """GF(3^24): the first candidate passing Rabin's test in tuple arithmetic."""
+    p, t = 3, 24
+
+    def frobenius_power(f, k):  # x^(3^k) mod f by k cubings
+        h = (0, 1)
+        for _ in range(k):
+            h = _poly_mulmod(_poly_mulmod(h, h, f, p), h, f, p)
+        return h
+
+    def rabin(f):
+        if frobenius_power(f, t) != (0, 1):
+            return False
+        return all(
+            len(_poly_gcd(f, _poly_sub(frobenius_power(f, t // r), (0, 1), p), p)) == 1
+            for r in (2, 3)
+        )
+
+    for tail in itertools.product(range(p), repeat=t):
+        f = tail[::-1] + (1,)  # ascending code order
+        if rabin(f):
+            break
+    assert build_field(p, t).modulus == f
+
+
 def test_composite_p_rejected():
     with pytest.raises(CompositeP):
         build_field(9, 1)
@@ -101,17 +156,6 @@ def test_field_mismatch():
     b = build_field(5, 2).one
     with pytest.raises(FieldMismatch):
         a + b
-
-
-def test_field_arithmetic_dispatch():
-    f = build_field(3, 2)
-    a, b = f.element(5), f.element(7)
-    assert field_arithmetic(a, b, "add") == a + b
-    assert field_arithmetic(a, b, "sub") == a - b
-    assert field_arithmetic(a, b, "mul") == a * b
-    assert field_arithmetic(a, op="inv") == a.inverse()
-    assert field_arithmetic(a, op="pow", n=4) == a**4
-    assert field_arithmetic(a, op="frobenius") == a.frobenius()
 
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (5, 2), (3, 4)])

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from polarank.errors import RangeError
 from polarank.gf import build_field
 from polarank.geometry import SymplecticSpace
 from polarank.incidence import build_incidence
@@ -39,7 +40,7 @@ def test_multiples_of_p_vanish():
     assert rank_mod_p([[6, 3], [9, 12]], 3) == 0
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 257, 263, 65537])
 def test_random_matrices_match_reference(p):
     rng = np.random.default_rng(20 + p)
     for shape in [(8, 5), (5, 8), (20, 20), (40, 17)]:
@@ -96,9 +97,14 @@ def test_streaming_unreduced_input():
 
 
 def test_packed_accumulator_budget_paths():
-    # uint16 path for larger p
+    # the narrowest lane holding (p-1) + (p-1)^2
+    lanes = {13: np.uint8, 17: np.uint16, 251: np.uint16, 257: np.uint32,
+             65521: np.uint32, 65537: np.uint64, 4294967291: np.uint64}
+    for p, dtype in lanes.items():
+        assert DenseRowPacked(4, p).dtype == dtype
+    with pytest.raises(RangeError):
+        DenseRowPacked(4, 4294967311)  # prime, (p-1)^2 >= 2^64
     acc = DenseRowPacked(10, 17)
-    assert acc.dtype == np.uint16
     rng = np.random.default_rng(1)
     m = rng.integers(0, 17, size=(12, 10))
     for row in m:
