@@ -33,7 +33,7 @@ from .incidence import (
     write_matrix,
     write_matrix_market,
 )
-from .ranks import DenseRowPacked, rank_mod_p, rank_streaming
+from .ranks import DenseRowPacked, rank_mod_p
 from .posets import (
     HType,
     LambdaType,

@@ -94,10 +94,6 @@ def _build_matrix(job: VerifyJob):
 
 def cmd_verify(job: VerifyJob) -> tuple[dict, int]:
     report = RankReport(job.m, job.p, job.t, job.r, mode=job.mode)
-    if job.r > job.m:
-        report.notes.append(
-            "coisotropic flats (r > m): unsigned ideal formula, dual convention"
-        )
     if job.mode in ("formula-only", "cross-validate"):
         timer = Timer()
         report.formula_rank = dimensions.rank_point_flat(job.m, job.p, job.t, job.r)
@@ -187,10 +183,6 @@ def cmd_rank(path: str) -> dict:
 def cmd_formula(m: int, p: int, t: int, r: int, all_t: int | None = None) -> dict:
     report = RankReport(m, p, t, r, mode="formula-only")
     report.formula_rank = dimensions.rank_point_flat(m, p, t, r)
-    if r > m:
-        report.notes.append(
-            "coisotropic flats (r > m): unsigned ideal formula, dual convention"
-        )
     if all_t:
         report.notes.append(
             "ranks for t=1..%d: %s"

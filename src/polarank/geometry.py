@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import DimensionMismatch, RangeError, UnsupportedCharacteristic
+from .errors import DimensionMismatch, InvariantError, RangeError, UnsupportedCharacteristic
 from .gf import FieldElement, FieldSpec
 
 
@@ -29,7 +29,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"[{n} choose {k}]_{q}: {den} does not divide {num}")
     return num // den
 
 
@@ -100,16 +101,6 @@ class SymplecticSpace:
         """f_i, 1-based."""
         return self.basis_vector(self.dim - i)
 
-    def normalize(self, v) -> tuple:
-        """Projective representative with first nonzero coordinate 1."""
-        for c in v:
-            if c:
-                if c == 1:
-                    return tuple(v)
-                inv = self.field.inv(c)
-                return tuple(self.field.mul(inv, x) for x in v)
-        raise RangeError("cannot normalize the zero vector")
-
     def __repr__(self):
         return f"SymplecticSpace(m={self.m}, q={self.q})"
 
@@ -154,10 +145,6 @@ def enumerate_points(space: SymplecticSpace) -> list:
             pts.append(head + tail)
     pts.sort()
     return [ProjectivePoint(p) for p in pts]
-
-
-def point_index(points) -> dict:
-    return {pt.coords: i for i, pt in enumerate(points)}
 
 
 # -- canonical RREF enumeration ------------------------------------------------
@@ -270,7 +257,8 @@ def perp(space: SymplecticSpace, w: Subspace) -> Subspace:
     grads = [space.form_gradient(row) for row in w.rows]
     basis = linalg.nullspace(space.field, grads, ncols=space.dim)
     sub = Subspace(tuple(tuple(int(x) for x in row) for row in basis))
-    assert sub.dim == space.dim - w.dim
+    if sub.dim != space.dim - w.dim:
+        raise InvariantError(f"perp of a {w.dim}-space has dimension {sub.dim}")
     return sub
 
 
@@ -294,18 +282,3 @@ def contains_point(space: SymplecticSpace, sub: Subspace, coords) -> bool:
             v = [add(x, mul(f, y)) for x, y in zip(v, row)]
     return not any(v)
 
-
-def subspace_points(space: SymplecticSpace, sub: Subspace) -> list:
-    """Normalized coordinates of the (q^r - 1)/(q - 1) points in a flat."""
-    add, mul = space.field.add, space.field.mul
-    q, r = space.q, sub.dim
-    out = []
-    for lead in range(r):
-        for tail in itertools.product(range(q), repeat=r - 1 - lead):
-            coeffs = (0,) * lead + (1,) + tail
-            v = [0] * space.dim
-            for c, row in zip(coeffs, sub.rows):
-                if c:
-                    v = [add(x, mul(c, y)) for x, y in zip(v, row)]
-            out.append(space.normalize(v))
-    return out

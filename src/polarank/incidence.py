@@ -2,6 +2,9 @@
 
 Row order is flat enumeration order and column order is point enumeration
 order; both are canonical, so files serialize byte for byte reproducibly.
+`incidence_from_flats` is the one builder: the points of all flats are table
+gathers over their RREF generators, and each point's column comes from its
+coordinates by arithmetic, so no point list is built or searched.
 
 File format (UTF-8 text):
 
@@ -16,10 +19,13 @@ interop with external sparse tooling.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import geometry
-from .errors import FormatError, IoError, RangeError
+from .errors import FormatError, InvariantError, IoError, RangeError
 from .gf import is_prime
 
 MAGIC = "polar-rank-incidence v1"
@@ -31,8 +37,6 @@ class SparseIncidenceMatrix:
     cols: int
     modulus: int
     row_data: list  # per row, strictly increasing tuple of column indices
-    row_labels: list | None = None
-    col_labels: list | None = None
 
     def __post_init__(self):
         if not is_prime(self.modulus):
@@ -70,8 +74,6 @@ class SparseIncidenceMatrix:
             self.rows,
             self.modulus,
             [tuple(r) for r in data],
-            self.col_labels,
-            self.row_labels,
         )
 
     def __eq__(self, other):
@@ -82,31 +84,62 @@ class SparseIncidenceMatrix:
         )
 
 
-def _label(rows_or_coords) -> str:
-    if isinstance(rows_or_coords[0], tuple):
-        return ";".join(",".join(map(str, row)) for row in rows_or_coords)
-    return ",".join(map(str, rows_or_coords))
+def _normalized_coeffs(q: int, r: int) -> np.ndarray:
+    """The (q^r - 1)/(q - 1) vectors of GF(q)^r whose first nonzero entry is 1."""
+    rows = [
+        (0,) * lead + (1,) + tail
+        for lead in range(r)
+        for tail in itertools.product(range(q), repeat=r - 1 - lead)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, r)
 
 
-def incidence_from_flats(space, flats, points=None) -> SparseIncidenceMatrix:
-    """0/1 matrix with entry (Y, Z) = 1 iff point Z lies in flat Y."""
-    if points is None:
-        points = geometry.enumerate_points(space)
-    index = geometry.point_index(points)
+# points per chunk of flats: bounds the intp temporaries of the table gathers
+CHUNK_POINTS = 1 << 12
+
+
+def incidence_from_flats(space, flats) -> SparseIncidenceMatrix:
+    """0/1 matrix with entry (Y, Z) = 1 iff point Z lies in flat Y.
+
+    With G a flat's RREF generator matrix and c a normalized coefficient
+    vector, c.G is already a normalized point: G is the identity at its
+    pivot columns and zero before each pivot.  So the points of every flat
+    are r table gathers over a (flats x coeffs x 2m) code array, and the
+    column of a point with leading 1 at L and base-q tail value v is
+    (q^(2m-1-L) - 1)/(q - 1) + v, its place in `enumerate_points` order.
+    """
+    q, n = space.q, space.dim
+    cols = geometry.point_count(space.m, q)
+    if not flats:
+        return SparseIncidenceMatrix(0, cols, space.field.p, [])
+    dims = {f.dim for f in flats}
+    if len(dims) != 1:
+        raise RangeError(f"flats of mixed dimensions {sorted(dims)}")
+    add_t, mul_t = space.field.np_tables()[:2]
+    gens = np.array([f.rows for f in flats], dtype=add_t.dtype)  # flats x r x n
+    coeffs = _normalized_coeffs(q, gens.shape[1])
+    weight = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # a normalized point has weight . coords = q^(n-1-L) + v
+    offset = (weight - 1) // (q - 1) - weight
+    # rows share one int object per column; tolist() alone makes one per entry
+    col_ints = np.arange(cols).astype(object)
     row_data = []
-    for flat in flats:
-        cols = sorted(index[c] for c in geometry.subspace_points(space, flat))
-        expected = (space.q ** flat.dim - 1) // (space.q - 1)
-        assert len(cols) == len(set(cols)) == expected
-        row_data.append(tuple(cols))
-    return SparseIncidenceMatrix(
-        rows=len(flats),
-        cols=len(points),
-        modulus=space.field.p,
-        row_data=row_data,
-        row_labels=[_label(f.rows) for f in flats],
-        col_labels=[_label(pt.coords) for pt in points],
-    )
+    step = max(1, CHUNK_POINTS // len(coeffs))
+    for lo in range(0, len(flats), step):
+        chunk = gens[lo:lo + step]
+        pts = np.zeros((len(chunk), len(coeffs), n), dtype=add_t.dtype)
+        for k in range(gens.shape[1]):
+            pts = add_t[pts, mul_t[coeffs[None, :, k, None], chunk[:, None, k, :]]]
+        lead = np.argmax(pts != 0, axis=2)
+        index = np.sort(pts @ weight + offset[lead], axis=1)
+        normalized = np.take_along_axis(pts, lead[..., None], axis=2) == 1
+        if not (normalized.all() and (np.diff(index, axis=1) > 0).all()):
+            raise InvariantError(
+                f"a flat does not give {len(coeffs)} distinct normalized points; "
+                "generators must be a canonical RREF of full rank"
+            )
+        row_data += map(tuple, col_ints[index].tolist())
+    return SparseIncidenceMatrix(len(flats), cols, space.field.p, row_data)
 
 
 def build_incidence(space, r: int) -> SparseIncidenceMatrix:
@@ -119,7 +152,8 @@ def build_incidence(space, r: int) -> SparseIncidenceMatrix:
         flats = geometry.enumerate_coisotropic(space, r)
     mat = incidence_from_flats(space, flats)
     sums = set(mat.col_sums())
-    assert len(sums) == 1, "flat family is not point-transitive"
+    if len(sums) != 1:
+        raise InvariantError(f"flat family is not point-transitive: column sums {sorted(sums)}")
     return mat
 
 

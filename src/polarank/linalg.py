@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch, InvariantError
 from .gf import FieldSpec
 
 
@@ -92,7 +93,8 @@ def nullspace(field: FieldSpec, matrix, ncols=None) -> np.ndarray:
     if len(free) == 0:
         return basis
     out, piv2 = rref(field, basis)
-    assert out.shape[0] == len(free)
+    if out.shape[0] != len(free):
+        raise InvariantError(f"nullspace basis has rank {out.shape[0]}, not {len(free)}")
     return out
 
 
@@ -102,7 +104,8 @@ def matmul(field: FieldSpec, a, b) -> np.ndarray:
     b = as_code_matrix(field, b)
     m, k = a.shape
     k2, n = b.shape
-    assert k == k2
+    if k != k2:
+        raise DimensionMismatch(f"cannot multiply {m} x {k} by {k2} x {n}")
     out = np.zeros((m, n), dtype=a.dtype)
     for j in range(k):
         term = mul_t[a[:, j][:, None], b[j][None, :]]

@@ -10,6 +10,9 @@ is nonzero; for sparse 0/1 incidence rows that is at most nnz(row) vector
 operations, which is what makes the 20440 x 20440 case tractable.  Memory is
 (current rank) x cols lanes.
 
+`rank_mod_p` is the one entry point: it takes a SparseIncidenceMatrix or a
+2-D integer array and feeds the kernel one dense row at a time.
+
 Pivoting is first-nonzero, so results are deterministic.
 """
 
@@ -110,46 +113,32 @@ class DenseRowPacked:
         return True
 
 
-def _iter_dense_rows(mat):
-    """Yield dense rows from a SparseIncidenceMatrix, ndarray, or nested lists."""
+def _dense_row(idx, cols: int) -> np.ndarray:
+    row = np.zeros(cols, dtype=np.uint8)
+    row[list(idx)] = 1
+    return row
+
+
+def rank_mod_p(mat, p: int | None = None) -> int:
+    """Rank over GF(p) of an incidence matrix or any 2-D integer matrix.
+
+    A SparseIncidenceMatrix supplies its own modulus (unless p is given) and
+    is fed to the kernel one dense row at a time, so memory stays rank x cols
+    lanes; for a plain array or nested list p is required.
+    """
     row_data = getattr(mat, "row_data", None)
     if row_data is not None:
         cols = mat.cols
-        for idx in row_data:
-            row = np.zeros(cols, dtype=np.uint8)
-            if idx:
-                row[list(idx)] = 1
-            yield row
-        return
-    arr = np.asarray(mat)
-    if arr.ndim != 2:
-        raise RangeError("expected a 2-D matrix")
-    yield from arr
-
-
-def rank_mod_p(mat, p: int = None) -> int:
-    """Rank over GF(p) of an incidence matrix or any integer matrix.
-
-    For a SparseIncidenceMatrix the modulus is taken from the matrix itself.
-    """
-    if p is None:
-        p = getattr(mat, "modulus", None)
+        p = mat.modulus if p is None else p
+        rows = (_dense_row(idx, cols) for idx in row_data)
+    else:
         if p is None:
             raise RangeError("p required for plain arrays")
-    cols = mat.cols if hasattr(mat, "cols") else np.asarray(mat).shape[1]
+        rows = np.asarray(mat)
+        if rows.ndim != 2:
+            raise RangeError("expected a 2-D matrix")
+        cols = rows.shape[1]
     acc = DenseRowPacked(int(cols), int(p))
-    for row in _iter_dense_rows(mat):
-        acc.insert(row)
-    return acc.rank
-
-
-def rank_streaming(row_source, cols: int, p: int) -> int:
-    """Rank of rows supplied one at a time; memory is rank x cols lanes.
-
-    Each row is either a dense length-`cols` array-like of residues or, when
-    `cols` would be ambiguous, anything np.asarray turns into one.
-    """
-    acc = DenseRowPacked(int(cols), int(p))
-    for row in row_source:
+    for row in rows:
         acc.insert(row)
     return acc.rank

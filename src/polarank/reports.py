@@ -41,6 +41,12 @@ class RankReport:
     notes: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.r > self.m:
+            self.notes.append(
+                "coisotropic flats (r > m): perps of the totally isotropic (2m-r)-flats"
+            )
+
     def finalize(self) -> "RankReport":
         if self.formula_rank is not None and self.oracle_rank is not None:
             self.match = self.formula_rank == self.oracle_rank

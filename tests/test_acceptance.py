@@ -7,7 +7,6 @@ criterion 4 (the q = 27 case) is gated behind the `nightly` marker.
 import random
 import time
 
-import numpy as np
 import pytest
 
 from polarank import funcspace as fs
@@ -29,7 +28,7 @@ from polarank.geometry import (
     enumerate_isotropic,
 )
 from polarank.incidence import build_incidence, incidence_from_flats
-from polarank.ranks import rank_mod_p, rank_streaming
+from polarank.ranks import rank_mod_p
 
 
 def report(criterion, ok, detail):
@@ -78,14 +77,7 @@ def test_criterion_4_w327_lines_streaming():
     space = SymplecticSpace(2, build_field(3, 3))
     mat = build_incidence(space, 2)
     assert (mat.rows, mat.cols) == (20440, 20440)
-
-    def rows():
-        for idx in mat.row_data:
-            row = np.zeros(mat.cols, dtype=np.uint8)
-            row[list(idx)] = 1
-            yield row
-
-    oracle = rank_streaming(rows(), mat.cols, 3)
+    oracle = rank_mod_p(mat)  # one dense row at a time: rank x cols lanes
     elapsed = time.perf_counter() - start
     ok = formula == oracle == 8353
     report(4, ok, f"W(3,27) formula {formula} streaming oracle {oracle} in {elapsed:.0f}s")

@@ -98,18 +98,21 @@ def test_rank_roundtrip(tmp_path, capsys):
     }
 
 
+# sha256 of `export --m M --p P --t T --r R`, recorded when the format was fixed
+EXPORT_SHA256 = {
+    (2, 3, 1, 2): "f453282992fbc4b27ecbb3c38a0a48977af7a9829aa0b91cd78e5185325622c2",
+    (3, 3, 1, 4): "9eff4ff10d1eaa0f9dce8488d7136bc65a6c571fe9f4379aaae7839b6c9006eb",
+}
+
+
 def test_export_checksum_deterministic(tmp_path, capsys):
-    out1, out2 = tmp_path / "a.mat", tmp_path / "b.mat"
-    _, meta1 = run_json(
-        capsys, "export", "--m", "2", "--p", "3", "--t", "1", "--r", "2",
-        "--matrix-out", str(out1),
-    )
-    _, meta2 = run_json(
-        capsys, "export", "--m", "2", "--p", "3", "--t", "1", "--r", "2",
-        "--matrix-out", str(out2),
-    )
-    assert meta1["sha256"] == meta2["sha256"]
-    assert out1.read_bytes() == out2.read_bytes()
+    for (m, p, t, r), want in EXPORT_SHA256.items():
+        flags = ["--m", str(m), "--p", str(p), "--t", str(t), "--r", str(r)]
+        out1, out2 = tmp_path / f"a{m}{r}.mat", tmp_path / f"b{m}{r}.mat"
+        _, meta1 = run_json(capsys, "export", *flags, "--matrix-out", str(out1))
+        _, meta2 = run_json(capsys, "export", *flags, "--matrix-out", str(out2))
+        assert meta1["sha256"] == meta2["sha256"] == want
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_export_matrix_market(tmp_path, capsys):

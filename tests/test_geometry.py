@@ -16,7 +16,6 @@ from polarank.geometry import (
     isotropic_count,
     perp,
     point_count,
-    subspace_points,
     symplectic_form,
 )
 
@@ -193,9 +192,3 @@ def test_coisotropic_count_w53():
     flats = enumerate_coisotropic(sp, 4)
     assert len(flats) == isotropic_count(3, 2, 3) == 3640
 
-
-def test_subspace_points_count():
-    sp = space(2, 3, 2)
-    line = enumerate_isotropic(sp, 2)[0]
-    pts = subspace_points(sp, line)
-    assert len(pts) == len(set(pts)) == 10  # (q^2-1)/(q-1)

@@ -1,11 +1,20 @@
 import pytest
 
-from polarank.errors import FormatError, RangeError
+from polarank import geometry, linalg
+from polarank.errors import FormatError, InvariantError, RangeError
 from polarank.gf import build_field
-from polarank.geometry import SymplecticSpace, enumerate_points, contains_point
+from polarank.geometry import (
+    Subspace,
+    SymplecticSpace,
+    contains_point,
+    enumerate_coisotropic,
+    enumerate_isotropic,
+    enumerate_points,
+)
 from polarank.incidence import (
     SparseIncidenceMatrix,
     build_incidence,
+    incidence_from_flats,
     read_matrix,
     write_matrix,
     write_matrix_market,
@@ -15,6 +24,12 @@ from polarank.incidence import (
 @pytest.fixture(scope="module")
 def w33():
     return SymplecticSpace(2, build_field(3, 1))
+
+
+@pytest.fixture(scope="module")
+def w39():
+    """GF(9): the field tables are not arithmetic mod p."""
+    return SymplecticSpace(2, build_field(3, 2))
 
 
 @pytest.fixture(scope="module")
@@ -30,21 +45,47 @@ def test_w33_shape_and_sums(w33, lines_w33):
     assert mat.nnz() == 40 * 4 == sum(mat.col_sums())
 
 
-def test_w33_membership_agrees_with_containment(w33, lines_w33):
-    from polarank.geometry import enumerate_isotropic
+def test_w33_membership_agrees_with_containment(w33, lines_w33, w39):
+    # W(3,3) lines; W(3,9) lines and coisotropic planes, every 41st flat
+    cases = [(w33, enumerate_isotropic(w33, 2), lines_w33, 7)]
+    for r, family in ((2, enumerate_isotropic), (3, enumerate_coisotropic)):
+        cases.append((w39, family(w39, r), build_incidence(w39, r), 41))
+    for space, flats, mat, stride in cases:
+        pts = enumerate_points(space)
+        for i in range(0, len(flats), stride):
+            row = set(mat.row_data[i])
+            for j, pt in enumerate(pts):
+                assert (j in row) == contains_point(space, flats[i], pt.coords)
 
-    pts = enumerate_points(w33)
-    flats = enumerate_isotropic(w33, 2)
-    for i, flat in enumerate(flats[::7]):
-        row = set(lines_w33.row_data[flats.index(flat)])
-        for j, pt in enumerate(pts):
-            assert (j in row) == contains_point(w33, flat, pt.coords)
+
+def test_points_vs_points_is_identity(w33, w39):
+    for space, n in ((w33, 40), (w39, 820)):
+        mat = build_incidence(space, 1)
+        assert mat.rows == mat.cols == n
+        assert all(row == (i,) for i, row in enumerate(mat.row_data))
 
 
-def test_points_vs_points_is_identity(w33):
-    mat = build_incidence(w33, 1)
-    assert mat.rows == mat.cols == 40
-    assert all(row == (i,) for i, row in enumerate(mat.row_data))
+def test_incidence_from_flats_contracts(w33):
+    empty = incidence_from_flats(w33, [])
+    assert (empty.rows, empty.cols, empty.row_data) == (0, 40, [])
+    mixed = enumerate_isotropic(w33, 1)[:2] + enumerate_isotropic(w33, 2)[:2]
+    with pytest.raises(RangeError):
+        incidence_from_flats(w33, mixed)
+    # generators that are not a canonical RREF give unnormalized or repeated points
+    for rows in [((2, 0, 0, 0),), ((1, 0, 0, 0), (1, 0, 0, 0))]:
+        with pytest.raises(InvariantError):
+            incidence_from_flats(w33, [Subspace(rows)])
+
+
+def test_broken_oracle_invariants_raise(w33, monkeypatch):
+    # point transitivity in build_incidence, then the dimension check in perp
+    real = geometry.enumerate_isotropic
+    monkeypatch.setattr(geometry, "enumerate_isotropic", lambda sp, r: real(sp, r)[:-1])
+    with pytest.raises(InvariantError):
+        build_incidence(w33, 2)
+    monkeypatch.setattr(linalg, "nullspace", lambda *a, **k: real(w33, 1)[0].rows)
+    with pytest.raises(InvariantError):
+        geometry.perp(w33, real(w33, 2)[0])
 
 
 def test_round_trip(tmp_path, lines_w33):

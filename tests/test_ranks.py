@@ -2,12 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarank.errors import RangeError
 from polarank.gf import build_field
 from polarank.geometry import SymplecticSpace
 from polarank.incidence import build_incidence
-from polarank.ranks import DenseRowPacked, rank_mod_p, rank_streaming
+from polarank.ranks import DenseRowPacked, rank_mod_p
 
 
 def reference_rank(mat, p):
@@ -48,6 +51,19 @@ def test_random_matrices_match_reference(p):
         assert rank_mod_p(m, p) == reference_rank(m, p)
 
 
+small_matrices = st.tuples(st.integers(0, 10), st.integers(1, 10)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(-70000, 70000))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 13, 17, 257, 65537]), mat=small_matrices)
+@example(p=3, mat=np.zeros((0, 4), dtype=np.int64))
+@example(p=65537, mat=np.array([[65537], [2], [-4]]))
+def test_rank_matches_reference_property(p, mat):
+    assert rank_mod_p(mat, p) == reference_rank(mat, p)
+
+
 def test_planted_rank():
     rng = np.random.default_rng(33)
     p = 3
@@ -85,15 +101,15 @@ def test_streaming_matches_inmemory_and_order_invariance():
         dense[i, list(row)] = 1
     r = rank_mod_p(mat)
     assert r == 25
-    assert rank_streaming(iter(dense), mat.cols, 3) == r
-    assert rank_streaming(iter(dense[::-1]), mat.cols, 3) == r
+    assert rank_mod_p(dense, 3) == r
+    assert rank_mod_p(dense[::-1], 3) == r
     doubled = np.vstack([dense, dense])
-    assert rank_streaming(iter(doubled), mat.cols, 3) == r
+    assert rank_mod_p(doubled, 3) == r
 
 
 def test_streaming_unreduced_input():
     rows = [[3, 6, 9], [1, 2, 3], [2, 4, 6]]
-    assert rank_streaming(iter(rows), 3, 3) == 1
+    assert rank_mod_p(rows, 3) == 1
 
 
 def test_packed_accumulator_budget_paths():
@@ -116,17 +132,15 @@ def test_many_dependent_rows_trigger_delayed_reduction():
     rng = np.random.default_rng(9)
     base = rng.integers(0, 3, size=(3, 400))
     rows = [(c @ base) % 3 for c in rng.integers(0, 3, size=(200, 3))]
-    assert rank_streaming(iter(rows), 400, 3) == reference_rank(np.array(rows), 3)
+    assert rank_mod_p(np.array(rows), 3) == reference_rank(np.array(rows), 3)
 
 
 def test_streaming_agrees_on_acceptance_matrices():
     sp = SymplecticSpace(3, build_field(3, 1))
     mat = build_incidence(sp, 2)  # 3640 x 364
-    dense_rows = (
-        np.bincount(np.array(r, dtype=np.int64), minlength=mat.cols).astype(np.uint8)
-        if r else np.zeros(mat.cols, dtype=np.uint8)
-        for r in mat.row_data
-    )
-    assert rank_streaming(dense_rows, mat.cols, 3) == rank_mod_p(mat) == 343
+    dense = np.zeros((mat.rows, mat.cols), dtype=np.uint8)
+    for i, row in enumerate(mat.row_data):
+        dense[i, list(row)] = 1
+    assert rank_mod_p(dense, 3) == rank_mod_p(mat) == 343
     t = mat.transpose()
     assert rank_mod_p(t) == 343
