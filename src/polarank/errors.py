@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-All contract violations raise one of these; plain ValueError/TypeError are
-reserved for programming mistakes caught by asserts.
+All contract violations and broken internal invariants raise one of these;
+the package holds no assert, which ``python -O`` would strip.
 """
 
 
@@ -35,7 +35,7 @@ class RangeError(PolarankError, ValueError):
 
 class NonIntegralSolution(PolarankError, ArithmeticError):
     """The cyclic digit system did not solve in integers (cannot happen for
-    valid types; kept as a loud assert)."""
+    valid types; kept as a loud check)."""
 
 
 class ParityError(PolarankError, ArithmeticError):

@@ -30,6 +30,7 @@ from . import linalg
 from .errors import (
     ContextMismatch,
     DegreeError,
+    InvariantError,
     NotSymplectic,
     RangeError,
 )
@@ -323,7 +324,7 @@ def symplectic_transvection(space: FunctionSpace, v, mu_code: int) -> GroupEleme
     n = space.nvars
     geo = SymplecticSpace.__new__(SymplecticSpace)
     geo.m, geo.field, geo.dim = space.m, fld, n
-    grad = geo.form_gradient(v)
+    grad = geo.form_gradient(v).tolist()
     rows = []
     for i in range(n):
         row = []
@@ -510,8 +511,8 @@ class GroupRingElement:
                 mono = [0] * sp.nvars
                 mono[0], mono[-1] = pair
                 cached = self._apply_raw(FunctionOnV(sp, {tuple(mono): 1}))
-                for e2 in cached.coeffs:
-                    assert not any(e2[1:-1])
+                if any(any(e2[1:-1]) for e2 in cached.coeffs):
+                    raise InvariantError(f"xy-local operator moved a middle variable of {pair}")
                 self._pair_cache[pair] = cached
             for e2, c2 in cached.coeffs.items():
                 key = (e2[0],) + exps[1:-1] + (e2[-1],)
@@ -887,9 +888,10 @@ def char_function(space: FunctionSpace, sub: Subspace) -> FunctionOnV:
     else:
         forms = [
             tuple(int(x) for x in row)
-            for row in linalg.nullspace(fld, [list(r) for r in sub.rows], ncols=space.nvars)
+            for row in linalg.nullspace(fld, [list(r) for r in sub.rows])
         ]
-    assert len(forms) + sub.dim == space.nvars
+    if len(forms) + sub.dim != space.nvars:
+        raise InvariantError(f"{len(forms)} cutting forms for a {sub.dim}-space in {space.nvars} vars")
     out = FunctionOnV.one(space)
     for form in forms:
         lin = FunctionOnV(
@@ -924,7 +926,8 @@ def expand_in_symplectic_basis(f: FunctionOnV) -> list:
         for e, c in block.items():
             rhs[index[e]] = c
         sol = linalg.solve(fld, a, rhs)
-        assert sol is not None, f"symplectic basis does not span type {lam}"
+        if sol is None:
+            raise InvariantError(f"symplectic basis does not span type {lam}")
         for kcol, b in enumerate(basis):
             if sol[kcol]:
                 out.append((int(sol[kcol]), b))

@@ -9,12 +9,21 @@ Vectors are tuples of field codes.  Subspaces are canonical RREF generator
 matrices, so each subspace has exactly one representation and enumeration
 output is reproducible byte for byte (lists are sorted lexicographically on
 the flattened RREF entries).
+
+Enumeration works on numpy stacks (N, r, 2m) of those RREFs.  Isotropic flats
+grow by row extension: per pivot-column set, every partial RREF is paired with
+every value of the next row's free entries, and the pairs whose new row is
+not orthogonal to the earlier rows are dropped.  Coisotropic flats are the
+perps of all isotropic (2m-r)-flats at once, one stacked null space of their
+form gradients.  Only the sorted result becomes ``Subspace`` objects.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvariantError, RangeError, UnsupportedCharacteristic
@@ -72,18 +81,21 @@ class SymplecticSpace:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def form_gradient(self, u) -> list:
-        """The covector u.G, so that <u, v> = sum_j (u.G)_j v_j."""
-        n, m = self.dim, self.m
-        neg = self.field.neg
-        return [u[n - 1 - j] if j >= m else neg(u[n - 1 - j]) for j in range(n)]
+    def form_gradient(self, u) -> np.ndarray:
+        """The covector u.G, so that <u, v> = sum_j (u.G)_j v_j.
+
+        u is one vector or a (..., 2m) array of them, as field codes.
+        """
+        g = np.array(u)[..., ::-1]
+        g[..., : self.m] = self.field.np_tables()[2][g[..., : self.m]]
+        return g
 
     def form_code(self, u, v) -> int:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch(f"vectors must have length {self.dim}")
         add, mul = self.field.add, self.field.mul
         acc = 0
-        for g, vc in zip(self.form_gradient(u), v):
+        for g, vc in zip(self.form_gradient(u).tolist(), v):
             if g and vc:
                 acc = add(acc, mul(g, vc))
         return acc
@@ -149,126 +161,104 @@ def enumerate_points(space: SymplecticSpace) -> list:
 
 # -- canonical RREF enumeration ------------------------------------------------
 
-
-def _solutions(field, rows, rhs, width):
-    """All solutions of a small linear system over GF(q), pure python.
-
-    rows: list of length-`width` coefficient lists; rhs: constants.
-    Yields length-`width` tuples.
-    """
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        s = inv(aug[r][c])
-        if s != 1:
-            aug[r] = [mul(s, x) for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [add(x, mul(neg(f), y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][width]:
-            return  # inconsistent
-    free = [c for c in range(width) if c not in pivots]
-    for assign in itertools.product(range(field.q), repeat=len(free)):
-        sol = [0] * width
-        for c, val in zip(free, assign):
-            sol[c] = val
-        for i, c in enumerate(pivots):
-            acc = aug[i][width]
-            for fc, val in zip(free, assign):
-                if aug[i][fc] and val:
-                    acc = add(acc, mul(neg(aug[i][fc]), val))
-            sol[c] = acc
-        yield tuple(sol)
+# Pairs (partial RREF, new row) in one extension step, and field codes in one
+# chunk of the conversion to Subspace objects; bounds the candidate arrays,
+# their index temporaries and the transient lists, and so peak RSS.
+CHUNK_CANDIDATES = 1 << 16
 
 
-def _echelon_enumerate(space: SymplecticSpace, r: int, isotropic: bool) -> list:
-    """All r-subspaces as canonical RREFs, optionally totally isotropic.
+def _sorted_flats(codes: np.ndarray) -> np.ndarray:
+    """A (N, r, n) code stack sorted lexicographically on the flattened rows."""
+    return codes[np.lexsort(codes.reshape(len(codes), -1).T[::-1])]
 
-    Depth-first extension per pivot-column set: row i has its pivot 1, zeros
-    at the other pivot columns and before its own pivot, and free entries only
-    at later non-pivot columns, so every matrix produced is already the unique
-    RREF representative of its subspace.
-    """
-    n = space.dim
-    field = space.field
+
+def _subspaces(codes: np.ndarray) -> list:
+    """Subspace objects for a (N, r, n) code stack; equal rows share one tuple."""
+    rows = {}
     out = []
+    for chunk in np.array_split(codes, codes.size // CHUNK_CANDIDATES + 1):
+        for flat in chunk.tolist():
+            out.append(Subspace(tuple([rows.setdefault(row, row) for row in map(tuple, flat)])))
+    return out
+
+
+def _echelon_codes(space: SymplecticSpace, r: int, isotropic: bool) -> np.ndarray:
+    """All r-subspaces as a sorted (N, r, n) stack of canonical RREFs,
+    optionally only the totally isotropic ones.
+
+    Row extension per pivot-column set: row i has its pivot 1, zeros at the
+    other pivot columns and before its own pivot, and free entries only at
+    later non-pivot columns, so every matrix produced is already the unique
+    RREF representative of its subspace.  Each step pairs every partial RREF
+    with every value of the new row's free entries and, for isotropic flats,
+    keeps the pairs whose new row is orthogonal to every earlier row.
+    """
+    n, q = space.dim, space.q
+    add_t, mul_t = space.field.np_tables()[:2]
+    found = []
     for pivots in itertools.combinations(range(n), r):
-        pivot_set = set(pivots)
-        stack_rows = []
-        grads = []  # form gradients of the accepted rows
-
-        def extend(i):
-            if i == r:
-                out.append(tuple(stack_rows))
-                return
-            piv = pivots[i]
-            unknown = [c for c in range(piv + 1, n) if c not in pivot_set]
-            if isotropic and grads:
-                coeffs = [[g[c] for c in unknown] for g in grads]
-                rhs = [field.neg(g[piv]) for g in grads]
-                candidates = _solutions(field, coeffs, rhs, len(unknown))
-            else:
-                candidates = itertools.product(range(space.q), repeat=len(unknown))
-            for assign in candidates:
-                row = [0] * n
-                row[piv] = 1
-                for c, val in zip(unknown, assign):
-                    row[c] = val
-                row = tuple(row)
-                stack_rows.append(row)
-                if isotropic:
-                    grads.append(space.form_gradient(row))
-                extend(i + 1)
-                stack_rows.pop()
-                if isotropic:
-                    grads.pop()
-
-        extend(0)
-    out.sort()
-    return [Subspace(rows) for rows in out]
+        partial = np.zeros((1, 0, n), dtype=add_t.dtype)
+        for i, piv in enumerate(pivots):
+            free = [c for c in range(piv + 1, n) if c not in pivots]
+            rows = np.zeros((q ** len(free), n), dtype=add_t.dtype)
+            rows[:, piv] = 1
+            values = np.indices((q,) * len(free), dtype=add_t.dtype)
+            rows[:, free] = values.reshape(len(free), len(rows)).T
+            step = max(1, CHUNK_CANDIDATES // len(rows))
+            grown = []
+            for part in np.array_split(partial, len(partial) // step + 1):
+                keep = np.ones((len(part), len(rows)), dtype=bool)
+                if isotropic and i:
+                    grads = space.form_gradient(part)[:, None, :, :]
+                    form = np.zeros((len(part), len(rows), i), dtype=add_t.dtype)
+                    for c in (piv, *free):
+                        form = add_t[form, mul_t[grads[..., c], rows[None, :, None, c]]]
+                    keep = ~form.any(axis=2)
+                pi, ri = np.nonzero(keep)
+                grown.append(np.concatenate([part[pi], rows[ri, None]], axis=1))
+            partial = np.concatenate(grown)
+        found.append(partial)
+    return _sorted_flats(np.concatenate(found))
 
 
 def enumerate_isotropic(space: SymplecticSpace, r: int) -> list:
     """All totally isotropic r-subspaces, canonical RREF, sorted."""
     if not 1 <= r <= space.m:
         raise RangeError(f"r={r} outside [1, {space.m}]")
-    return _echelon_enumerate(space, r, isotropic=True)
+    return _subspaces(_echelon_codes(space, r, isotropic=True))
 
 
 def enumerate_all_subspaces(space: SymplecticSpace, r: int) -> list:
     """All r-subspaces of PG(2m-1, q), ignoring the form."""
     if not 1 <= r <= space.dim - 1:
         raise RangeError(f"r={r} outside [1, {space.dim - 1}]")
-    return _echelon_enumerate(space, r, isotropic=False)
+    return _subspaces(_echelon_codes(space, r, isotropic=False))
+
+
+def _perp_codes(space: SymplecticSpace, codes: np.ndarray) -> np.ndarray:
+    """Canonical RREFs of the perps of a (B, k, n) stack of k-flats.
+
+    The perp of W is the null space of W's form gradients.
+    """
+    k = codes.shape[1]
+    basis = linalg.nullspace(space.field, space.form_gradient(codes))
+    if basis.shape[1] != space.dim - k:
+        raise InvariantError(f"perp of a {k}-space has dimension {basis.shape[1]}")
+    return basis
 
 
 def perp(space: SymplecticSpace, w: Subspace) -> Subspace:
     """{v : <v, u> = 0 for all u in W}, canonical RREF."""
-    grads = [space.form_gradient(row) for row in w.rows]
-    basis = linalg.nullspace(space.field, grads, ncols=space.dim)
-    sub = Subspace(tuple(tuple(int(x) for x in row) for row in basis))
-    if sub.dim != space.dim - w.dim:
-        raise InvariantError(f"perp of a {w.dim}-space has dimension {sub.dim}")
-    return sub
+    codes = linalg.as_code_matrix(space.field, w.rows).reshape(1, w.dim, space.dim)
+    return _subspaces(_perp_codes(space, codes))[0]
 
 
 def enumerate_coisotropic(space: SymplecticSpace, r: int) -> list:
     """Perps of the totally isotropic (2m-r)-subspaces, m+1 <= r <= 2m-1."""
     if not space.m + 1 <= r <= space.dim - 1:
         raise RangeError(f"r={r} outside [{space.m + 1}, {space.dim - 1}]")
-    flats = [perp(space, w) for w in enumerate_isotropic(space, space.dim - r)]
-    flats.sort()
-    return flats
+    isotropic = _echelon_codes(space, space.dim - r, isotropic=True)
+    return _subspaces(_sorted_flats(_perp_codes(space, isotropic)))
 
 
 def contains_point(space: SymplecticSpace, sub: Subspace, coords) -> bool:

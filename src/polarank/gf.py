@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositeP, DivisionByZero, FieldMismatch, RangeError
+from .errors import CompositeP, DivisionByZero, FieldMismatch, InvariantError, RangeError
 
 _TABLE_LIMIT = 4096  # largest q for which full q*q tables are built
 
@@ -196,7 +196,7 @@ def _smallest_irreducible(p, t):
         poly = tuple(tail) + (1,)
         if _is_irreducible(poly, p):
             return poly
-    raise AssertionError(f"no irreducible of degree {t} over GF({p})")
+    raise InvariantError(f"no irreducible of degree {t} over GF({p})")
 
 
 # -- field spec and elements --------------------------------------------------

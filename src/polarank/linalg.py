@@ -2,15 +2,18 @@
 
 Matrices are numpy arrays of field codes.  Row operations are table gathers
 (add[M, mul[c, row]]), so elimination runs at numpy speed while staying exact.
-Sizes here are the change-of-basis and perp computations, a few hundred rows
-at most; the large GF(p) rank kernel lives in ranks.py.
+One Gauss-Jordan loop, ``rref_stack``, reduces a whole stack (B, k, n) of
+matrices at once, one column step for all items; the 2-D calls are that loop
+on a stack of one.  Stacks reach about a million small items (the perps of
+every isotropic flat), single matrices a few hundred rows (the function-space
+lab); the large GF(p) rank kernel lives in ranks.py.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantError
+from .errors import InvariantError
 from .gf import FieldSpec
 
 
@@ -22,36 +25,50 @@ def as_code_matrix(field: FieldSpec, rows) -> np.ndarray:
     return a
 
 
+def rref_stack(field: FieldSpec, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every item of a (B, k, n) stack.
+
+    Returns (reduced, pivots, ranks): reduced[b, :ranks[b]] is the RREF of
+    item b and its other rows are zero; pivots[b, i] is the pivot column of
+    row i, or n for i >= ranks[b].
+    """
+    add_t, mul_t, neg_t, inv_t, _ = field.np_tables()
+    a = as_code_matrix(field, stack)
+    nitems, nrows, ncols = a.shape
+    pivots = np.full((nitems, nrows), ncols, dtype=np.intp)
+    ranks = np.zeros(nitems, dtype=np.intp)
+    below = np.arange(nrows)
+    for c in range(ncols):
+        live = np.flatnonzero(ranks < nrows)
+        if live.size == 0:
+            break
+        r = ranks[live]
+        cand = (a[live, :, c] != 0) & (below >= r[:, None])
+        hit = cand.any(axis=1)
+        live, r = live[hit], r[hit]
+        if live.size == 0:
+            continue
+        i = cand[hit].argmax(axis=1)
+        prow = a[live, i]
+        a[live, i] = a[live, r]
+        prow = mul_t[inv_t[prow[:, c]][:, None], prow]
+        # clear column c in every other row that has an entry there
+        factors = a[live, :, c]
+        factors[np.arange(live.size), r] = 0
+        item, row = np.nonzero(factors)
+        update = mul_t[neg_t[factors[item, row]][:, None], prow[item]]
+        a[live[item], row] = add_t[a[live[item], row], update]
+        a[live, r] = prow
+        pivots[live, r] = c
+        ranks[live] += 1
+    return a, pivots, ranks
+
+
 def rref(field: FieldSpec, matrix) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form; returns (rref matrix, pivot columns)."""
-    add_t, mul_t, neg_t, inv_t, _ = field.np_tables()
-    a = as_code_matrix(field, matrix).copy()
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = a[r:, c]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r] = mul_t[int(inv_t[piv]), a[r]]
-        # clear the column everywhere else in one shot
-        factors = a[:, c].copy()
-        factors[r] = 0
-        rows_nz = np.flatnonzero(factors)
-        if rows_nz.size:
-            upd = mul_t[neg_t[factors[rows_nz]][:, None], a[r][None, :]]
-            a[rows_nz] = add_t[a[rows_nz], upd]
-        pivots.append(c)
-        r += 1
-    return a[:r], tuple(pivots)
+    red, pivots, ranks = rref_stack(field, as_code_matrix(field, matrix)[None])
+    r = int(ranks[0])
+    return red[0, :r], tuple(pivots[0, :r].tolist())
 
 
 def rank(field: FieldSpec, matrix) -> int:
@@ -71,47 +88,32 @@ def solve(field: FieldSpec, matrix, rhs):
     if n in pivots:
         return None
     x = np.zeros(n, dtype=aug.dtype)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, n]
+    x[list(pivots)] = aug[:, n]
     return x
 
 
-def nullspace(field: FieldSpec, matrix, ncols=None) -> np.ndarray:
-    """RREF basis of {v : A v = 0} as rows."""
+def nullspace(field: FieldSpec, matrix) -> np.ndarray:
+    """RREF basis of {v : A v = 0} as rows, for A (k, n) or a stack (B, k, n).
+
+    Every item of a stack must have the same rank, so that the bases stack.
+    """
     a = as_code_matrix(field, matrix)
-    if ncols is not None and a.size == 0:
-        a = a.reshape(0, ncols)
-    n = a.shape[1]
-    red, pivots = rref(field, a)
+    lead, (k, n) = a.shape[:-2], a.shape[-2:]
+    red, pivots, ranks = rref_stack(field, a.reshape(int(np.prod(lead)), k, n))
+    rk = int(ranks[0]) if ranks.size else 0
+    if (ranks != rk).any():
+        raise InvariantError(f"stacked nullspace over items of ranks {sorted(set(ranks.tolist()))}")
+    # free column f_j of item b gives the basis row e_{f_j} - sum_i red[b, i, f_j] e_{pivot_i}
     neg_t = field.np_tables()[2]
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=a.dtype)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = neg_t[red[i, fc]]
-    if len(free) == 0:
-        return basis
-    out, piv2 = rref(field, basis)
-    if out.shape[0] != len(free):
-        raise InvariantError(f"nullspace basis has rank {out.shape[0]}, not {len(free)}")
-    return out
-
-
-def matmul(field: FieldSpec, a, b) -> np.ndarray:
-    add_t, mul_t = field.np_tables()[:2]
-    a = as_code_matrix(field, a)
-    b = as_code_matrix(field, b)
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise DimensionMismatch(f"cannot multiply {m} x {k} by {k2} x {n}")
-    out = np.zeros((m, n), dtype=a.dtype)
-    for j in range(k):
-        term = mul_t[a[:, j][:, None], b[j][None, :]]
-        out = add_t[out, term]
-    return out
-
-
-def mat_vec(field: FieldSpec, a, v) -> np.ndarray:
-    return matmul(field, a, np.asarray(v).reshape(-1, 1)).reshape(-1)
+    items, j = np.arange(red.shape[0])[:, None], np.arange(n - rk)
+    is_pivot = np.zeros((red.shape[0], n + 1), dtype=bool)
+    is_pivot[items, pivots] = True
+    free = np.nonzero(~is_pivot[:, :n])[1].reshape(red.shape[0], n - rk)
+    basis = np.zeros((red.shape[0], n - rk, n), dtype=a.dtype)
+    basis[items, j, free] = 1
+    for i in range(rk):
+        basis[items, j, pivots[:, i : i + 1]] = neg_t[red[items, i, free]]
+    out, _, ranks = rref_stack(field, basis)
+    if (ranks != n - rk).any():
+        raise InvariantError(f"nullspace basis has rank {int(ranks.min())}, not {n - rk}")
+    return out.reshape(lead + (n - rk, n))

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NonIntegralSolution, RangeError
+from .errors import InvariantError, NonIntegralSolution, RangeError
 
 
 def digits_of_int(n: int, p: int, t: int) -> tuple:
@@ -132,7 +132,8 @@ def h_type_from_lambda(lt: LambdaType) -> HType:
             raise NonIntegralSolution(f"type {lt.lam} grading {lt.d}")
         s.append(acc // (q - 1))
     h = HType(lt.m, lt.p, lt.t, tuple(s), lt.d)
-    assert h.lam == lt.lam
+    if h.lam != lt.lam:
+        raise InvariantError(f"h-type {s} gives type {h.lam}, not {lt.lam}")
     return h
 
 

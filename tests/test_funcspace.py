@@ -4,7 +4,7 @@ import pytest
 
 from polarank import funcspace as fs
 from polarank.dimensions import dim_S_plus_minus, dimension_table
-from polarank.errors import ContextMismatch, DegreeError, NotSymplectic, RangeError
+from polarank.errors import ContextMismatch, DegreeError, InvariantError, NotSymplectic, RangeError
 from polarank.gf import build_field
 from polarank.geometry import Subspace
 
@@ -251,6 +251,12 @@ def test_expand_single_plain_monomial_is_itself(sp9):
     f = mono(sp9, (1, 2, 0, 0))
     [(c, b)] = fs.expand_in_symplectic_basis(f)
     assert c == 1 and b.expand() == f
+
+
+def test_expand_without_solution_raises(sp9, monkeypatch):
+    monkeypatch.setattr(fs.linalg, "solve", lambda *args: None)
+    with pytest.raises(InvariantError):
+        fs.expand_in_symplectic_basis(mono(sp9, (1, 2, 0, 0)))
 
 
 # -- characteristic functions -----------------------------------------------------------

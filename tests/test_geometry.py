@@ -92,10 +92,12 @@ def brute_force_isotropic_lines(sp):
 
 
 def test_isotropic_lines_w33_against_filter_oracle():
-    sp = space(2, 3, 1)
-    lines = enumerate_isotropic(sp, 2)
-    assert len(lines) == 40 == isotropic_count(2, 2, 3)
-    assert lines == brute_force_isotropic_lines(sp)
+    # W(3,3), W(3,9) and W(5,3)
+    for m, p, t, expected in [(2, 3, 1, 40), (2, 3, 2, 820), (3, 3, 1, 3640)]:
+        sp = space(m, p, t)
+        lines = enumerate_isotropic(sp, 2)
+        assert len(lines) == expected == isotropic_count(m, 2, p**t)
+        assert lines == brute_force_isotropic_lines(sp)
 
 
 @pytest.mark.parametrize(
@@ -177,14 +179,18 @@ def test_perp_properties():
 
 
 def test_coisotropic_contains_own_perp():
-    sp = space(2, 3, 1)
-    flats = enumerate_coisotropic(sp, 3)
-    assert len(flats) == 40
-    for sub in flats:
-        inner = perp(sp, sub)
-        assert inner.dim == 1
-        span = linalg.rref(sp.field, list(sub.rows) + list(inner.rows))[0]
-        assert span.shape[0] == sub.dim
+    # W(3,3) r=3, W(5,3) r=4 and W(3,9) r=3
+    for m, p, t, r, expected in [(2, 3, 1, 3, 40), (3, 3, 1, 4, 3640), (2, 3, 2, 3, 820)]:
+        sp = space(m, p, t)
+        flats = enumerate_coisotropic(sp, r)
+        assert len(flats) == expected == isotropic_count(m, 2 * m - r, p**t)
+        assert flats == sorted(set(flats))
+        for sub in flats:
+            inner = perp(sp, sub)
+            assert inner.dim == 2 * m - r
+            assert all(sp.form_code(u, v) == 0 for u in inner.rows for v in sub.rows)
+            span = linalg.rref(sp.field, list(sub.rows) + list(inner.rows))[0]
+            assert span.shape[0] == sub.dim
 
 
 def test_coisotropic_count_w53():

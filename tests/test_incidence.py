@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from polarank import geometry, linalg
@@ -78,14 +79,18 @@ def test_incidence_from_flats_contracts(w33):
 
 
 def test_broken_oracle_invariants_raise(w33, monkeypatch):
-    # point transitivity in build_incidence, then the dimension check in perp
+    # point transitivity in build_incidence, then the rank checks behind perp
     real = geometry.enumerate_isotropic
     monkeypatch.setattr(geometry, "enumerate_isotropic", lambda sp, r: real(sp, r)[:-1])
     with pytest.raises(InvariantError):
         build_incidence(w33, 2)
-    monkeypatch.setattr(linalg, "nullspace", lambda *a, **k: real(w33, 1)[0].rows)
+    # an elimination that drops the last row of every item
+    real_rref = linalg.rref_stack
+    monkeypatch.setattr(linalg, "rref_stack", lambda field, stack: real_rref(field, np.asarray(stack)[:, :-1]))
     with pytest.raises(InvariantError):
         geometry.perp(w33, real(w33, 2)[0])
+    with pytest.raises(InvariantError):
+        geometry.enumerate_coisotropic(w33, 3)
 
 
 def test_round_trip(tmp_path, lines_w33):

@@ -1,9 +1,45 @@
 import random
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarank import linalg
 from polarank.gf import build_field
+
+FIELDS = {3: (3, 1), 9: (3, 2), 25: (5, 2)}
+
+
+def apply(f, a, x):
+    """A x by scalar field products."""
+    out = []
+    for row in a:
+        acc = 0
+        for c, v in zip(row, x):
+            acc = f.add(acc, f.mul(int(c), int(v)))
+        out.append(acc)
+    return out
+
+
+def reference_rref(f, rows, ncols):
+    """Scalar Gauss-Jordan: (nonzero RREF rows, pivot columns)."""
+    rows = [[int(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        s = f.inv(rows[r][c])
+        rows[r] = [f.mul(s, x) for x in rows[r]]
+        for j in range(len(rows)):
+            if j != r and rows[j][c]:
+                factor = f.neg(rows[j][c])
+                rows[j] = [f.add(x, f.mul(factor, y)) for x, y in zip(rows[j], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
 
 
 def test_rref_identity_and_rank():
@@ -34,14 +70,15 @@ def test_solve_and_nullspace():
     rng = random.Random(7)
     a = [[rng.randrange(9) for _ in range(6)] for _ in range(4)]
     x = [rng.randrange(9) for _ in range(6)]
-    b = linalg.mat_vec(f, a, x)
+    b = apply(f, a, x)
     sol = linalg.solve(f, a, b)
     assert sol is not None
-    assert np.array_equal(linalg.mat_vec(f, a, sol), b)
+    assert apply(f, a, sol) == b
     ns = linalg.nullspace(f, a)
     assert ns.shape[0] == 6 - linalg.rank(f, a)
     for row in ns:
-        assert not linalg.mat_vec(f, a, row).any()
+        assert not any(apply(f, a, row))
+    assert linalg.nullspace(f, np.eye(4, dtype=np.uint8)).shape == (0, 4)
 
 
 def test_solve_inconsistent_returns_none():
@@ -50,15 +87,27 @@ def test_solve_inconsistent_returns_none():
     assert linalg.solve(f, a, [1, 2]) is None
 
 
-def test_matmul_matches_scalar_definition():
-    f = build_field(5, 2)
-    rng = random.Random(3)
-    a = [[rng.randrange(25) for _ in range(3)] for _ in range(2)]
-    b = [[rng.randrange(25) for _ in range(4)] for _ in range(3)]
-    c = linalg.matmul(f, a, b)
-    for i in range(2):
-        for j in range(4):
-            acc = 0
-            for k in range(3):
-                acc = f.add(acc, f.mul(a[i][k], b[k][j]))
-            assert c[i, j] == acc
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from(sorted(FIELDS)),
+    shape=st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(1, 6)),
+    data=st.data(),
+)
+@example(q=9, shape=(3, 0, 4), data=None)
+def test_rref_stack_matches_scalar_reference(q, shape, data):
+    f = build_field(*FIELDS[q])
+    stack = np.zeros(shape, dtype=np.uint8)
+    if data is not None:
+        stack = data.draw(arrays(np.uint8, shape, elements=st.integers(0, q - 1)))
+        if shape[1] >= 2 and data.draw(st.booleans()):
+            # every item rank-deficient: last row a multiple of the first
+            c = data.draw(st.integers(0, q - 1))
+            stack[:, -1] = f.np_tables()[1][c, stack[:, 0]]
+    red, pivots, ranks = linalg.rref_stack(f, stack)
+    n = shape[2]
+    for b, item in enumerate(stack):
+        rows, piv = reference_rref(f, item, n)
+        r = int(ranks[b])
+        assert r == len(piv)
+        assert red[b, :r].tolist() == rows and not red[b, r:].any()
+        assert pivots[b, :r].tolist() == piv and (pivots[b, r:] == n).all()
