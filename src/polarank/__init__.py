@@ -12,8 +12,6 @@ Three independent pillars, cross-validated against each other:
 
 from .gf import FieldElement, FieldSpec, binom_mod_p, build_field, enumerate_field
 from .geometry import (
-    ProjectivePoint,
-    Subspace,
     SymplecticSpace,
     enumerate_all_subspaces,
     enumerate_coisotropic,

@@ -143,12 +143,12 @@ def cmd_export(job: VerifyJob, path: str, fmt: str = "v1") -> dict:
         incidence.write_matrix_market(mat, path)
     else:
         incidence.write_matrix(mat, path)
-    sums_r = set(mat.row_sums())
-    sums_c = set(mat.col_sums())
+    sums_r = sorted(set(mat.row_sums().tolist()))
+    sums_c = sorted(set(mat.col_sums().tolist()))
     if len(sums_r) != 1 or len(sums_c) != 1:
         raise InvariantError(
-            f"incidence is not a configuration: row sums {sorted(sums_r)}, "
-            f"column sums {sorted(sums_c)}"
+            f"incidence is not a configuration: row sums {sums_r}, "
+            f"column sums {sums_c}"
         )
     return {
         "report": "export-metadata",
@@ -158,8 +158,8 @@ def cmd_export(job: VerifyJob, path: str, fmt: str = "v1") -> dict:
         "r": job.r,
         "rows": mat.rows,
         "cols": mat.cols,
-        "row_sum": sums_r.pop(),
-        "col_sum": sums_c.pop(),
+        "row_sum": sums_r[0],
+        "col_sum": sums_c[0],
         "nnz": mat.nnz(),
         "format": fmt,
         "path": path,

@@ -35,7 +35,7 @@ from .errors import (
     RangeError,
 )
 from .gf import FieldSpec, binom_mod_p
-from .geometry import Subspace, SymplecticSpace
+from .geometry import SymplecticSpace
 from .posets import LambdaType, SignedHType, h_type_from_lambda, signed_leq, type_of
 
 
@@ -63,14 +63,6 @@ class FunctionSpace:
     @property
     def q(self):
         return self.field.q
-
-    def x_index(self, i: int) -> int:
-        """Coordinate index of x_i (1-based i)."""
-        return i - 1
-
-    def y_index(self, i: int) -> int:
-        """Coordinate index of y_i (1-based i)."""
-        return self.nvars - i
 
     def exponents(self, alpha, beta) -> tuple:
         """Exponent tuple of x^alpha y^beta in coordinate order."""
@@ -184,20 +176,6 @@ class FunctionOnV:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def evaluate(self, vector) -> int:
-        """Value at one vector of V (field code)."""
-        fld = self.space.field
-        total = 0
-        for exps, c in self.coeffs.items():
-            val = c
-            for v, e in zip(vector, exps):
-                if e:
-                    val = fld.mul(val, fld.pow(v, e)) if v else 0
-                    if val == 0:
-                        break
-            total = fld.add(total, val)
-        return total
 
     def evaluate_all(self) -> np.ndarray:
         """Values on every vector of V, in lexicographic vector order."""
@@ -876,22 +854,18 @@ def monomial_type(space: FunctionSpace, exps) -> tuple:
     return type_of(exps, space.m, space.p, space.t).lam
 
 
-def char_function(space: FunctionSpace, sub: Subspace) -> FunctionOnV:
+def char_function(space: FunctionSpace, sub) -> FunctionOnV:
     """Indicator function of a subspace: product of (1 - form^(q-1)).
 
-    The cutting linear forms are the RREF basis of the annihilator of the
-    generator matrix under the standard dot product.
+    The subspace is a (k, 2m) generator code matrix of full rank, k = 0
+    included.  The cutting linear forms are the RREF basis of the
+    annihilator of the generator matrix under the standard dot product.
     """
     fld = space.field
-    if sub.dim == 0:
-        forms = [tuple(1 if k == i else 0 for k in range(space.nvars)) for i in range(space.nvars)]
-    else:
-        forms = [
-            tuple(int(x) for x in row)
-            for row in linalg.nullspace(fld, [list(r) for r in sub.rows])
-        ]
-    if len(forms) + sub.dim != space.nvars:
-        raise InvariantError(f"{len(forms)} cutting forms for a {sub.dim}-space in {space.nvars} vars")
+    gens = linalg.as_code_matrix(fld, sub).reshape(-1, space.nvars)
+    forms = linalg.nullspace(fld, gens).tolist()
+    if len(forms) + len(gens) != space.nvars:
+        raise InvariantError(f"{len(forms)} cutting forms for a {len(gens)}-space in {space.nvars} vars")
     out = FunctionOnV.one(space)
     for form in forms:
         lin = FunctionOnV(

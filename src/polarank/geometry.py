@@ -5,23 +5,22 @@ Coordinates are ordered (x_1, ..., x_m, y_m, ..., y_1) for the basis
 is the antidiagonal with +1 in the top-right block and -1 in the bottom-left.
 All modules share this coordinate order.
 
-Vectors are tuples of field codes.  Subspaces are canonical RREF generator
-matrices, so each subspace has exactly one representation and enumeration
-output is reproducible byte for byte (lists are sorted lexicographically on
-the flattened RREF entries).
+Vectors are field codes.  A flat is its canonical RREF generator matrix, an
+(r, 2m) code array, so each subspace has exactly one representation; a
+family of flats is one (N, r, 2m) code stack, sorted lexicographically on
+the flattened RREF entries, so enumeration output is reproducible byte for
+byte.  Points are the (N, 2m) array of normalized vectors in sorted order.
 
-Enumeration works on numpy stacks (N, r, 2m) of those RREFs.  Isotropic flats
-grow by row extension: per pivot-column set, every partial RREF is paired with
-every value of the next row's free entries, and the pairs whose new row is
-not orthogonal to the earlier rows are dropped.  Coisotropic flats are the
-perps of all isotropic (2m-r)-flats at once, one stacked null space of their
-form gradients.  Only the sorted result becomes ``Subspace`` objects.
+Isotropic flats grow by row extension: per pivot-column set, every partial
+RREF is paired with every value of the next row's free entries, and the
+pairs whose new row is not orthogonal to the earlier rows are dropped.
+Coisotropic flats are the perps of all isotropic (2m-r)-flats at once, one
+stacked null space of their form gradients.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,16 +70,6 @@ class SymplecticSpace:
     def q(self) -> int:
         return self.field.q
 
-    def gram(self) -> tuple:
-        n, m = self.dim, self.m
-        one, minus = 1, self.field.neg(1)
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[n - 1 - i] = one if i < m else minus
-            rows.append(tuple(row))
-        return tuple(rows)
-
     def form_gradient(self, u) -> np.ndarray:
         """The covector u.G, so that <u, v> = sum_j (u.G)_j v_j.
 
@@ -122,64 +111,24 @@ def symplectic_form(space: SymplecticSpace, u, v) -> FieldElement:
     return FieldElement(space.field, space.form_code(u, v))
 
 
-@dataclass(frozen=True, order=True)
-class ProjectivePoint:
-    coords: tuple
-
-    @property
-    def dim(self):
-        return 1
-
-
-@dataclass(frozen=True, order=True)
-class Subspace:
-    """Canonical RREF generator matrix; rows are tuples of field codes."""
-
-    rows: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def from_generators(space: SymplecticSpace, generators) -> "Subspace":
-        red, _ = linalg.rref(space.field, list(generators))
-        return Subspace(tuple(tuple(int(x) for x in row) for row in red))
-
-
-def enumerate_points(space: SymplecticSpace) -> list:
-    """All points of PG(2m-1, q), normalized, in sorted coordinate order."""
-    q, n = space.q, space.dim
-    pts = []
-    for lead in range(n):
-        head = (0,) * lead + (1,)
-        for tail in itertools.product(range(q), repeat=n - 1 - lead):
-            pts.append(head + tail)
-    pts.sort()
-    return [ProjectivePoint(p) for p in pts]
+def enumerate_points(space: SymplecticSpace) -> np.ndarray:
+    """All points of PG(2m-1, q), normalized, as a sorted (N, 2m) code array."""
+    n, dtype = space.dim, space.field.np_tables()[0].dtype
+    vectors = np.indices((space.q,) * n, dtype=dtype).reshape(n, -1).T  # sorted
+    lead = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
+    return vectors[lead == 1]
 
 
 # -- canonical RREF enumeration ------------------------------------------------
 
-# Pairs (partial RREF, new row) in one extension step, and field codes in one
-# chunk of the conversion to Subspace objects; bounds the candidate arrays,
-# their index temporaries and the transient lists, and so peak RSS.
+# Pairs (partial RREF, new row) in one extension step; bounds the candidate
+# arrays and their index temporaries, and so peak RSS.
 CHUNK_CANDIDATES = 1 << 16
 
 
 def _sorted_flats(codes: np.ndarray) -> np.ndarray:
     """A (N, r, n) code stack sorted lexicographically on the flattened rows."""
     return codes[np.lexsort(codes.reshape(len(codes), -1).T[::-1])]
-
-
-def _subspaces(codes: np.ndarray) -> list:
-    """Subspace objects for a (N, r, n) code stack; equal rows share one tuple."""
-    rows = {}
-    out = []
-    for chunk in np.array_split(codes, codes.size // CHUNK_CANDIDATES + 1):
-        for flat in chunk.tolist():
-            out.append(Subspace(tuple([rows.setdefault(row, row) for row in map(tuple, flat)])))
-    return out
 
 
 def _echelon_codes(space: SymplecticSpace, r: int, isotropic: bool) -> np.ndarray:
@@ -221,18 +170,18 @@ def _echelon_codes(space: SymplecticSpace, r: int, isotropic: bool) -> np.ndarra
     return _sorted_flats(np.concatenate(found))
 
 
-def enumerate_isotropic(space: SymplecticSpace, r: int) -> list:
-    """All totally isotropic r-subspaces, canonical RREF, sorted."""
+def enumerate_isotropic(space: SymplecticSpace, r: int) -> np.ndarray:
+    """All totally isotropic r-subspaces, a sorted (N, r, 2m) RREF stack."""
     if not 1 <= r <= space.m:
         raise RangeError(f"r={r} outside [1, {space.m}]")
-    return _subspaces(_echelon_codes(space, r, isotropic=True))
+    return _echelon_codes(space, r, isotropic=True)
 
 
-def enumerate_all_subspaces(space: SymplecticSpace, r: int) -> list:
-    """All r-subspaces of PG(2m-1, q), ignoring the form."""
+def enumerate_all_subspaces(space: SymplecticSpace, r: int) -> np.ndarray:
+    """All r-subspaces of PG(2m-1, q), ignoring the form, as a sorted stack."""
     if not 1 <= r <= space.dim - 1:
         raise RangeError(f"r={r} outside [1, {space.dim - 1}]")
-    return _subspaces(_echelon_codes(space, r, isotropic=False))
+    return _echelon_codes(space, r, isotropic=False)
 
 
 def _perp_codes(space: SymplecticSpace, codes: np.ndarray) -> np.ndarray:
@@ -247,25 +196,26 @@ def _perp_codes(space: SymplecticSpace, codes: np.ndarray) -> np.ndarray:
     return basis
 
 
-def perp(space: SymplecticSpace, w: Subspace) -> Subspace:
-    """{v : <v, u> = 0 for all u in W}, canonical RREF."""
-    codes = linalg.as_code_matrix(space.field, w.rows).reshape(1, w.dim, space.dim)
-    return _subspaces(_perp_codes(space, codes))[0]
+def perp(space: SymplecticSpace, w) -> np.ndarray:
+    """{v : <v, u> = 0 for all u in W}, canonical RREF, for W a (k, 2m)
+    generator code matrix of full rank."""
+    codes = linalg.as_code_matrix(space.field, w).reshape(1, -1, space.dim)
+    return _perp_codes(space, codes)[0]
 
 
-def enumerate_coisotropic(space: SymplecticSpace, r: int) -> list:
+def enumerate_coisotropic(space: SymplecticSpace, r: int) -> np.ndarray:
     """Perps of the totally isotropic (2m-r)-subspaces, m+1 <= r <= 2m-1."""
     if not space.m + 1 <= r <= space.dim - 1:
         raise RangeError(f"r={r} outside [{space.m + 1}, {space.dim - 1}]")
     isotropic = _echelon_codes(space, space.dim - r, isotropic=True)
-    return _subspaces(_sorted_flats(_perp_codes(space, isotropic)))
+    return _sorted_flats(_perp_codes(space, isotropic))
 
 
-def contains_point(space: SymplecticSpace, sub: Subspace, coords) -> bool:
-    """Does the flat contain the (projective) point?"""
+def contains_point(space: SymplecticSpace, sub, coords) -> bool:
+    """Does the flat, a canonical RREF code matrix, contain the point?"""
     add, mul, neg = space.field.add, space.field.mul, space.field.neg
-    v = list(coords)
-    for row in sub.rows:
+    v = [int(x) for x in coords]
+    for row in np.asarray(sub).tolist():
         lead = next(c for c, x in enumerate(row) if x)
         if v[lead]:
             f = neg(v[lead])

@@ -2,9 +2,11 @@
 
 Row order is flat enumeration order and column order is point enumeration
 order; both are canonical, so files serialize byte for byte reproducibly.
-`incidence_from_flats` is the one builder: the points of all flats are table
-gathers over their RREF generators, and each point's column comes from its
-coordinates by arithmetic, so no point list is built or searched.
+A matrix is a CSR pair of np.intp arrays: row i is the sorted column indices
+indices[indptr[i]:indptr[i+1]].  `incidence_from_flats` is the one builder:
+the points of a flat code stack are table gathers over the RREF generators,
+each point's column comes from its coordinates by arithmetic, and every
+flat's sorted columns go into one preallocated index array.
 
 File format (UTF-8 text):
 
@@ -12,14 +14,17 @@ File format (UTF-8 text):
     <rows> <cols> <modulus>
     <k> <c_1> ... <c_k>        one line per row, 0-based sorted column indices
 
-A Matrix Market export (coordinate integer general, 1-based) is provided for
+Every field is a plain ASCII integer; anything else is a FormatError.  A
+Matrix Market export (coordinate integer general, 1-based) is provided for
 interop with external sparse tooling.
 """
 
 from __future__ import annotations
 
+import array
 import hashlib
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,51 +41,61 @@ class SparseIncidenceMatrix:
     rows: int
     cols: int
     modulus: int
-    row_data: list  # per row, strictly increasing tuple of column indices
+    indptr: np.ndarray  # (rows + 1,), indptr[0] = 0, nondecreasing
+    indices: np.ndarray  # (nnz,), each row's sorted column indices
 
     def __post_init__(self):
         if not is_prime(self.modulus):
             raise RangeError(f"modulus {self.modulus} is not prime")
-        for i, cols in enumerate(self.row_data):
-            if any(b <= a for a, b in zip(cols, cols[1:])):
-                raise FormatError(f"row {i} column indices not strictly increasing")
-            if cols and (cols[0] < 0 or cols[-1] >= self.cols):
-                raise FormatError(f"row {i} has column index out of range")
-        if len(self.row_data) != self.rows:
-            raise FormatError(
-                f"row count {len(self.row_data)} != declared {self.rows}"
-            )
+        if min(self.rows, self.cols) < 0:
+            raise RangeError(f"negative shape {self.rows} x {self.cols}")
+        ptr = self.indptr = np.asarray(self.indptr, dtype=np.intp)
+        idx = self.indices = np.asarray(self.indices, dtype=np.intp)
+        if ptr.shape != (self.rows + 1,):
+            raise FormatError(f"row count {ptr.size - 1} != declared {self.rows}")
+        if idx.ndim != 1 or ptr[0] != 0 or ptr[-1] != idx.size or (ptr[1:] < ptr[:-1]).any():
+            raise FormatError("row pointers do not partition the column indices")
+        # consecutive entries increase except across a row start
+        increasing = idx[1:] > idx[:-1]
+        starts = ptr[1:-1]
+        increasing[starts[(starts > 0) & (starts < idx.size)] - 1] = True
+        if not increasing.all():
+            row = self._row_of(int(np.argmin(increasing)) + 1)
+            raise FormatError(f"row {row} column indices not strictly increasing")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.cols):
+            row = self._row_of(int(np.argmax((idx < 0) | (idx >= self.cols))))
+            raise FormatError(f"row {row} has column index out of range")
+
+    def _row_of(self, entry: int) -> int:
+        return int(np.searchsorted(self.indptr, entry, side="right")) - 1
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i's sorted column indices, a view."""
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.row_data)
+        return len(self.indices)
 
-    def row_sums(self) -> list:
-        return [len(r) for r in self.row_data]
+    def row_sums(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
-    def col_sums(self) -> list:
-        out = [0] * self.cols
-        for r in self.row_data:
-            for c in r:
-                out[c] += 1
-        return out
+    def col_sums(self) -> np.ndarray:
+        return np.bincount(self.indices, minlength=self.cols)
 
     def transpose(self) -> "SparseIncidenceMatrix":
-        data = [[] for _ in range(self.cols)]
-        for i, r in enumerate(self.row_data):
-            for c in r:
-                data[c].append(i)
-        return SparseIncidenceMatrix(
-            self.cols,
-            self.rows,
-            self.modulus,
-            [tuple(r) for r in data],
-        )
+        # a stable sort by column keeps each column's rows increasing
+        order = np.argsort(self.indices, kind="stable")
+        row_of = np.repeat(np.arange(self.rows, dtype=np.intp), self.row_sums())
+        indptr = np.zeros(self.cols + 1, dtype=np.intp)
+        np.cumsum(self.col_sums(), out=indptr[1:])
+        return SparseIncidenceMatrix(self.cols, self.rows, self.modulus, indptr, row_of[order])
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseIncidenceMatrix)
             and (self.rows, self.cols, self.modulus) == (other.rows, other.cols, other.modulus)
-            and [tuple(r) for r in self.row_data] == [tuple(r) for r in other.row_data]
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
 
@@ -98,48 +113,50 @@ def _normalized_coeffs(q: int, r: int) -> np.ndarray:
 CHUNK_POINTS = 1 << 12
 
 
-def incidence_from_flats(space, flats) -> SparseIncidenceMatrix:
+def incidence_from_flats(space, gens) -> SparseIncidenceMatrix:
     """0/1 matrix with entry (Y, Z) = 1 iff point Z lies in flat Y.
 
-    With G a flat's RREF generator matrix and c a normalized coefficient
-    vector, c.G is already a normalized point: G is the identity at its
-    pivot columns and zero before each pivot.  So the points of every flat
-    are r table gathers over a (flats x coeffs x 2m) code array, and the
+    gens is an (N, r, 2m) stack of canonical RREF generator code matrices,
+    as the enumerations return it.  With G a flat's RREF and c a normalized
+    coefficient vector, c.G is already a normalized point: G is the identity
+    at its pivot columns and zero before each pivot.  So the points of every
+    flat are r table gathers over a (flats x coeffs x 2m) code array, and the
     column of a point with leading 1 at L and base-q tail value v is
-    (q^(2m-1-L) - 1)/(q - 1) + v, its place in `enumerate_points` order.
+    (q^(2m-1-L) - 1)/(q - 1) + v, its row in `enumerate_points`.
     """
     q, n = space.q, space.dim
     cols = geometry.point_count(space.m, q)
-    if not flats:
-        return SparseIncidenceMatrix(0, cols, space.field.p, [])
-    dims = {f.dim for f in flats}
-    if len(dims) != 1:
-        raise RangeError(f"flats of mixed dimensions {sorted(dims)}")
+    try:
+        gens = np.asarray(gens) if len(gens) else np.zeros((0, 1, n), dtype=np.intp)
+    except ValueError:  # ragged: flats of mixed dimensions
+        gens = None
+    if (gens is None or gens.ndim != 3 or gens.shape[1] < 1 or gens.shape[2] != n
+            or gens.dtype.kind not in "iu" or gens.min(initial=0) < 0 or gens.max(initial=0) >= q):
+        raise RangeError(f"flats must be one (N, r, {n}) stack of GF({q}) codes")
     add_t, mul_t = space.field.np_tables()[:2]
-    gens = np.array([f.rows for f in flats], dtype=add_t.dtype)  # flats x r x n
     coeffs = _normalized_coeffs(q, gens.shape[1])
     weight = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # a normalized point has weight . coords = q^(n-1-L) + v
     offset = (weight - 1) // (q - 1) - weight
-    # rows share one int object per column; tolist() alone makes one per entry
-    col_ints = np.arange(cols).astype(object)
-    row_data = []
+    indices = np.empty((len(gens), len(coeffs)), dtype=np.intp)
     step = max(1, CHUNK_POINTS // len(coeffs))
-    for lo in range(0, len(flats), step):
+    for lo in range(0, len(gens), step):
         chunk = gens[lo:lo + step]
         pts = np.zeros((len(chunk), len(coeffs), n), dtype=add_t.dtype)
         for k in range(gens.shape[1]):
             pts = add_t[pts, mul_t[coeffs[None, :, k, None], chunk[:, None, k, :]]]
         lead = np.argmax(pts != 0, axis=2)
-        index = np.sort(pts @ weight + offset[lead], axis=1)
+        index = indices[lo:lo + step]
+        index[...] = pts @ weight + offset[lead]
+        index.sort(axis=1)
         normalized = np.take_along_axis(pts, lead[..., None], axis=2) == 1
-        if not (normalized.all() and (np.diff(index, axis=1) > 0).all()):
+        if not (normalized.all() and (index[:, 1:] > index[:, :-1]).all()):
             raise InvariantError(
                 f"a flat does not give {len(coeffs)} distinct normalized points; "
                 "generators must be a canonical RREF of full rank"
             )
-        row_data += map(tuple, col_ints[index].tolist())
-    return SparseIncidenceMatrix(len(flats), cols, space.field.p, row_data)
+    indptr = np.arange(len(gens) + 1, dtype=np.intp) * len(coeffs)
+    return SparseIncidenceMatrix(len(gens), cols, space.field.p, indptr, indices.reshape(-1))
 
 
 def build_incidence(space, r: int) -> SparseIncidenceMatrix:
@@ -151,9 +168,9 @@ def build_incidence(space, r: int) -> SparseIncidenceMatrix:
     else:
         flats = geometry.enumerate_coisotropic(space, r)
     mat = incidence_from_flats(space, flats)
-    sums = set(mat.col_sums())
+    sums = np.unique(mat.col_sums())
     if len(sums) != 1:
-        raise InvariantError(f"flat family is not point-transitive: column sums {sorted(sums)}")
+        raise InvariantError(f"flat family is not point-transitive: column sums {sums.tolist()}")
     return mat
 
 
@@ -162,41 +179,62 @@ def write_matrix(mat: SparseIncidenceMatrix, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{MAGIC}\n")
             fh.write(f"{mat.rows} {mat.cols} {mat.modulus}\n")
-            for row in mat.row_data:
-                fh.write(" ".join([str(len(row))] + [str(c) for c in row]) + "\n")
+            for i in range(mat.rows):
+                row = mat.row(i).tolist()
+                fh.write(" ".join(map(str, [len(row), *row])) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_matrix(path) -> SparseIncidenceMatrix:
+# one line of whitespace-separated plain ASCII integers
+_INT_LINE = re.compile(r"\s*(-?[0-9]+(\s+-?[0-9]+)*)?\s*", re.ASCII)
+
+
+def _ints(text: str, line: int, what: str) -> list:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        if _INT_LINE.fullmatch(text):
+            return [int(x) for x in text.split()]
+    except ValueError:  # more digits than int() converts
+        pass
+    raise FormatError(f"non-integer {what}", line=line)
+
+
+def _read_lines(path) -> list:
+    """The file's text lines; its raw bytes are freed on return, before parsing."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError("not UTF-8 text", line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def read_matrix(path) -> SparseIncidenceMatrix:
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != MAGIC:
         raise FormatError(f"bad magic; expected {MAGIC!r}", line=1)
     if len(lines) < 2:
         raise FormatError("missing header", line=2)
-    head = lines[1].split()
+    head = _ints(lines[1], 2, "header field")
     if len(head) != 3:
         raise FormatError("header must be '<rows> <cols> <modulus>'", line=2)
-    try:
-        rows, cols, modulus = (int(x) for x in head)
-    except ValueError:
-        raise FormatError("non-integer header field", line=2) from None
-    body = [ln for ln in lines[2:] if ln.strip()]
+    rows, cols, modulus = head
+    if min(head) < 0:
+        raise FormatError("negative header field", line=2)
+    if cols > np.iinfo(np.int64).max:
+        raise FormatError(f"column count {cols} exceeds the index range", line=2)
+    body = [lineno for lineno in range(3, len(lines) + 1) if lines[lineno - 1].strip()]
     if len(body) != rows:
         raise FormatError(
             f"expected {rows} row lines, found {len(body)}", line=2 + len(body) + 1
         )
-    row_data = []
-    for i, ln in enumerate(body):
-        lineno = 3 + i
-        try:
-            nums = [int(x) for x in ln.split()]
-        except ValueError:
-            raise FormatError("non-integer entry", line=lineno) from None
+    indptr = np.zeros(rows + 1, dtype=np.intp)
+    indices = array.array("q")  # one growing int64 buffer, no object per row
+    for i, lineno in enumerate(body):
+        nums = _ints(lines[lineno - 1], lineno, "entry")
         if not nums or nums[0] != len(nums) - 1:
             raise FormatError("row length prefix mismatch", line=lineno)
         entries = nums[1:]
@@ -204,8 +242,9 @@ def read_matrix(path) -> SparseIncidenceMatrix:
             raise FormatError("column indices not strictly increasing", line=lineno)
         if entries and (entries[0] < 0 or entries[-1] >= cols):
             raise FormatError("column index out of range", line=lineno)
-        row_data.append(tuple(entries))
-    return SparseIncidenceMatrix(rows, cols, modulus, row_data)
+        indices.extend(entries)
+        indptr[i + 1] = len(indices)
+    return SparseIncidenceMatrix(rows, cols, modulus, indptr, np.frombuffer(indices, dtype=np.int64))
 
 
 def write_matrix_market(mat: SparseIncidenceMatrix, path) -> None:
@@ -215,9 +254,8 @@ def write_matrix_market(mat: SparseIncidenceMatrix, path) -> None:
             fh.write("%%MatrixMarket matrix coordinate integer general\n")
             fh.write(f"%derived from {MAGIC}; modulus {mat.modulus}\n")
             fh.write(f"{mat.rows} {mat.cols} {mat.nnz()}\n")
-            for i, row in enumerate(mat.row_data):
-                for c in row:
-                    fh.write(f"{i + 1} {c + 1} 1\n")
+            for i in range(mat.rows):
+                fh.writelines(f"{i + 1} {c + 1} 1\n" for c in mat.row(i).tolist())
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -11,7 +11,8 @@ operations, which is what makes the 20440 x 20440 case tractable.  Memory is
 (current rank) x cols lanes.
 
 `rank_mod_p` is the one entry point: it takes a SparseIncidenceMatrix or a
-2-D integer array and feeds the kernel one dense row at a time.
+2-D integer array and feeds the kernel one dense row at a time; an
+incidence row is expanded from its CSR slice just before it is inserted.
 
 Pivoting is first-nonzero, so results are deterministic.
 """
@@ -113,9 +114,9 @@ class DenseRowPacked:
         return True
 
 
-def _dense_row(idx, cols: int) -> np.ndarray:
+def _dense_row(idx: np.ndarray, cols: int) -> np.ndarray:
     row = np.zeros(cols, dtype=np.uint8)
-    row[list(idx)] = 1
+    row[idx] = 1
     return row
 
 
@@ -123,14 +124,14 @@ def rank_mod_p(mat, p: int | None = None) -> int:
     """Rank over GF(p) of an incidence matrix or any 2-D integer matrix.
 
     A SparseIncidenceMatrix supplies its own modulus (unless p is given) and
-    is fed to the kernel one dense row at a time, so memory stays rank x cols
-    lanes; for a plain array or nested list p is required.
+    is fed to the kernel one dense row at a time, built from its CSR row, so
+    memory stays rank x cols lanes; for a plain array or nested list p is
+    required.
     """
-    row_data = getattr(mat, "row_data", None)
-    if row_data is not None:
+    if hasattr(mat, "indptr"):
         cols = mat.cols
         p = mat.modulus if p is None else p
-        rows = (_dense_row(idx, cols) for idx in row_data)
+        rows = (_dense_row(mat.row(i), cols) for i in range(mat.rows))
     else:
         if p is None:
             raise RangeError("p required for plain arrays")

@@ -1,9 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from polarank.errors import CompositeP, DivisionByZero, FieldMismatch
+from polarank.errors import CompositeP, DivisionByZero, FieldMismatch, RangeError
 from polarank.gf import (
     _is_irreducible,
     _poly_gcd,
@@ -12,6 +13,7 @@ from polarank.gf import (
     binom_mod_p,
     build_field,
     enumerate_field,
+    is_prime,
 )
 
 
@@ -203,3 +205,23 @@ def test_lucas_binomials():
         for k in range(40):
             for p in (3, 5, 7):
                 assert binom_mod_p(n, k, p) == math.comb(n, k) % p if k <= n else True
+
+
+def test_is_prime_deterministic_miller_rabin():
+    # trial division by every d <= 316 decides each n < 10^5
+    n = np.arange(10**5)
+    composite = n < 2
+    for d in range(2, 317):
+        composite |= (n % d == 0) & (n > d)
+    assert [is_prime(k) for k in range(10**5)] == (~composite).tolist()
+    # Carmichael numbers, and the least strong pseudoprimes to the bases
+    # {2}, {2,3,5,7}, {2..31} and {2..37}
+    for k in (561, 41041, 2047, 3215031751, 3825123056546413051,
+              318665857834031151167461, (10**12 + 39) * (10**12 + 61)):
+        assert not is_prime(k)
+    for k in (65537, 4294967311, 2**61 - 1, 10**18 + 3, 3317044064679887385961813):
+        assert is_prime(k)
+    # at and above the bound the answer would not be exact
+    for k in (3317044064679887385961981, 2**89 - 1, 10**30):
+        with pytest.raises(RangeError):
+            is_prime(k)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarank import geometry, linalg
-from polarank.errors import FormatError, InvariantError, RangeError
+from polarank.errors import FormatError, InvariantError, PolarankError, RangeError
 from polarank.gf import build_field
 from polarank.geometry import (
-    Subspace,
     SymplecticSpace,
     contains_point,
     enumerate_coisotropic,
@@ -13,6 +14,7 @@ from polarank.geometry import (
     enumerate_points,
 )
 from polarank.incidence import (
+    MAGIC,
     SparseIncidenceMatrix,
     build_incidence,
     incidence_from_flats,
@@ -54,28 +56,35 @@ def test_w33_membership_agrees_with_containment(w33, lines_w33, w39):
     for space, flats, mat, stride in cases:
         pts = enumerate_points(space)
         for i in range(0, len(flats), stride):
-            row = set(mat.row_data[i])
+            row = set(mat.row(i).tolist())
             for j, pt in enumerate(pts):
-                assert (j in row) == contains_point(space, flats[i], pt.coords)
+                assert (j in row) == contains_point(space, flats[i], pt)
 
 
 def test_points_vs_points_is_identity(w33, w39):
     for space, n in ((w33, 40), (w39, 820)):
         mat = build_incidence(space, 1)
         assert mat.rows == mat.cols == n
-        assert all(row == (i,) for i, row in enumerate(mat.row_data))
+        assert mat.indptr.tolist() == list(range(n + 1))
+        assert mat.indices.tolist() == list(range(n))
 
 
 def test_incidence_from_flats_contracts(w33):
     empty = incidence_from_flats(w33, [])
-    assert (empty.rows, empty.cols, empty.row_data) == (0, 40, [])
-    mixed = enumerate_isotropic(w33, 1)[:2] + enumerate_isotropic(w33, 2)[:2]
+    assert (empty.rows, empty.cols, empty.indptr.tolist(), empty.nnz()) == (0, 40, [0], 0)
+    # a ragged list: flats of mixed dimensions
+    mixed = list(enumerate_isotropic(w33, 1)[:2]) + list(enumerate_isotropic(w33, 2)[:2])
     with pytest.raises(RangeError):
         incidence_from_flats(w33, mixed)
+    # not an (N, r, 2m) stack of GF(3) codes
+    for bad in [np.zeros((2, 4), int), np.zeros((2, 1, 3), int), np.zeros((2, 0, 4), int),
+                np.full((1, 1, 4), 3), np.full((1, 1, 4), 0.5)]:
+        with pytest.raises(RangeError):
+            incidence_from_flats(w33, bad)
     # generators that are not a canonical RREF give unnormalized or repeated points
     for rows in [((2, 0, 0, 0),), ((1, 0, 0, 0), (1, 0, 0, 0))]:
         with pytest.raises(InvariantError):
-            incidence_from_flats(w33, [Subspace(rows)])
+            incidence_from_flats(w33, np.array([rows]))
 
 
 def test_broken_oracle_invariants_raise(w33, monkeypatch):
@@ -109,7 +118,7 @@ def test_header_parsing(tmp_path):
     path.write_text("polar-rank-incidence v1\n2 3 3\n2 0 2\n0\n")
     mat = read_matrix(path)
     assert (mat.rows, mat.cols, mat.modulus) == (2, 3, 3)
-    assert mat.row_data == [(0, 2), ()]
+    assert (mat.indptr.tolist(), mat.indices.tolist()) == ([0, 2, 2], [0, 2])
 
 
 @pytest.mark.parametrize(
@@ -121,11 +130,20 @@ def test_header_parsing(tmp_path):
         ("polar-rank-incidence v1\n1 2 3\n2 1 0\n", 3),  # not increasing
         ("polar-rank-incidence v1\n1 2 3\n1 5\n", 3),  # out of range
         ("polar-rank-incidence v1\n1 2 3\n2 0\n", 3),  # length prefix mismatch
+        (b"polar-rank-incidence v1\n1 2 3\n1 \xff\n", 3),  # not UTF-8
+        ("polar-rank-incidence v1\n1 -5 3\n0\n", 2),  # negative header field
+        ("polar-rank-incidence v1\n1 2 3\n1 \u0661\n", 3),  # non-ASCII digit
+        ("polar-rank-incidence v1\n1 1_0 3\n0\n", 2),  # int() would read 10
+        ("polar-rank-incidence v1\n1 2 3\n1 +1\n", 3),
+        ("polar-rank-incidence v1\n2 4 3\n1 0\n\n2 3 1\n", 5),  # after a blank line
     ],
 )
 def test_format_errors(tmp_path, text, line):
     path = tmp_path / "bad.mat"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError) as err:
         read_matrix(path)
     if line is not None:
@@ -148,17 +166,72 @@ def test_matrix_market_export(tmp_path, lines_w33):
 
 def test_transpose_consistency(lines_w33):
     t = lines_w33.transpose()
-    assert t.rows == lines_w33.cols and t.col_sums() == lines_w33.row_sums()
+    assert t.rows == lines_w33.cols
+    assert np.array_equal(t.col_sums(), lines_w33.row_sums())
     assert t.nnz() == lines_w33.nnz()
+    assert t.transpose() == lines_w33
+    dense = np.zeros((t.rows, t.cols), dtype=int)
+    for i in range(t.rows):
+        dense[i, t.row(i)] = 1
+    assert all(lines_w33.row(j).tolist() == np.flatnonzero(dense[:, j]).tolist()
+               for j in range(lines_w33.rows))
 
 
 def test_invalid_rows_rejected():
     with pytest.raises(FormatError):
-        SparseIncidenceMatrix(1, 4, 3, [(2, 1)])
+        SparseIncidenceMatrix(1, 4, 3, [0, 2], [2, 1])
     with pytest.raises(FormatError):
-        SparseIncidenceMatrix(2, 4, 3, [(0,)])
+        SparseIncidenceMatrix(2, 4, 3, [0, 1], [0])
     with pytest.raises(RangeError):
-        SparseIncidenceMatrix(1, 4, 4, [(0,)])
+        SparseIncidenceMatrix(1, 4, 4, [0, 1], [0])
+    # row pointers that do not partition the indices
+    for indptr in ([1, 1], [0, 2], [0, 2, 1]):
+        with pytest.raises(FormatError):
+            SparseIncidenceMatrix(len(indptr) - 1, 4, 3, indptr, [0])
+    with pytest.raises(FormatError, match="row 1 has column index out of range"):
+        SparseIncidenceMatrix(2, 4, 3, [0, 1, 2], [0, 4])
+    with pytest.raises(FormatError, match="row 2 column indices not strictly increasing"):
+        SparseIncidenceMatrix(3, 4, 3, [0, 1, 1, 3], [2, 3, 1])
+    # indices may fall across a row start, and rows may be empty at either end
+    SparseIncidenceMatrix(2, 4, 3, [0, 2, 3], [1, 3, 0])
+    mat = SparseIncidenceMatrix(4, 4, 3, [0, 0, 2, 2, 2], [1, 3])
+    assert mat.row_sums().tolist() == [0, 2, 0, 0] and mat.col_sums().tolist() == [0, 1, 0, 1]
+
+
+# small valid exports and the bytes a mutation inserts
+EXPORTS = [
+    b"polar-rank-incidence v1\n3 5 3\n2 0 4\n0\n3 1 2 3\n",
+    b"polar-rank-incidence v1\n4 4 5\n1 0\n1 1\n1 2\n1 3\n",
+]
+PIECES = [b"0", b"7", b" ", b"\n", b"\r", b"\t", b"-", b"+", b"_", b"x", b"\xff", b"\xc3",
+          "\u0661".encode(), "\u00a0".encode(), b"99999999999999999999999999"]
+
+
+@st.composite
+def mutated_export(draw):
+    data = draw(st.sampled_from(EXPORTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(len(MAGIC) + 1, len(data)))  # past the magic line
+        piece = draw(st.sampled_from(PIECES) | st.binary(min_size=1, max_size=2))
+        cut = draw(st.integers(0, 2))  # bytes removed at i
+        data = data[:i] + piece * draw(st.integers(0, 1)) + data[i + cut:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.binary(max_size=120) | st.binary(max_size=40).map(MAGIC.encode().__add__)
+       | mutated_export())
+def test_read_matrix_outside_input_property(tmp_path_factory, data):
+    # every input reads to a matrix that survives write/read, or a PolarankError
+    work = tmp_path_factory.getbasetemp()
+    path, again = work / "in.mat", work / "again.mat"
+    path.write_bytes(data)
+    try:
+        mat = read_matrix(path)
+    except PolarankError:
+        return
+    write_matrix(mat, again)
+    assert read_matrix(again) == mat
 
 
 def test_range_error(w33):

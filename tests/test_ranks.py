@@ -97,8 +97,8 @@ def test_streaming_matches_inmemory_and_order_invariance():
     sp = SymplecticSpace(2, build_field(3, 1))
     mat = build_incidence(sp, 2)
     dense = np.zeros((mat.rows, mat.cols), dtype=np.uint8)
-    for i, row in enumerate(mat.row_data):
-        dense[i, list(row)] = 1
+    for i in range(mat.rows):
+        dense[i, mat.row(i)] = 1
     r = rank_mod_p(mat)
     assert r == 25
     assert rank_mod_p(dense, 3) == r
@@ -139,8 +139,8 @@ def test_streaming_agrees_on_acceptance_matrices():
     sp = SymplecticSpace(3, build_field(3, 1))
     mat = build_incidence(sp, 2)  # 3640 x 364
     dense = np.zeros((mat.rows, mat.cols), dtype=np.uint8)
-    for i, row in enumerate(mat.row_data):
-        dense[i, list(row)] = 1
+    for i in range(mat.rows):
+        dense[i, mat.row(i)] = 1
     assert rank_mod_p(dense, 3) == rank_mod_p(mat) == 343
     t = mat.transpose()
     assert rank_mod_p(t) == 343
