@@ -171,6 +171,10 @@ def cmd_export(job: VerifyJob, path: str, fmt: str = "v1") -> dict:
 
 def cmd_rank(path: str) -> dict:
     mat = incidence.read_matrix(path)
+    # the kernel's basis grows to at most min(rows, cols) rows of cols lanes
+    cells = min(mat.rows, mat.cols) * mat.cols
+    if cells > DEFAULT_CELL_CAP:
+        raise ResourceCapExceeded(f"{cells} basis cells exceed the cap {DEFAULT_CELL_CAP}")
     return {
         "report": "matrix-rank",
         "rows": mat.rows,

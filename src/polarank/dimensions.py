@@ -49,14 +49,21 @@ def dim_S_lambda(m: int, p: int, lam: int) -> int:
 
 def count_digit_tuples(m: int, p: int, lam: int) -> int:
     """Number of 2m-tuples with entries in [0, p-1] summing to lam (oracle)."""
-    counts = [1]  # polynomial (1 + x + ... + x^(p-1))^k, k = 0
+    counts = _digit_count_poly(m, p)
+    return counts[lam] if 0 <= lam < len(counts) else 0
+
+
+@lru_cache(maxsize=None)
+def _digit_count_poly(m: int, p: int) -> tuple:
+    """Coefficients of (1 + x + ... + x^(p-1))^(2m), one factor at a time."""
+    counts = [1]
     for _ in range(2 * m):
         new = [0] * (len(counts) + p - 1)
         for i, c in enumerate(counts):
             for r in range(p):
                 new[i + r] += c
         counts = new
-    return counts[lam] if 0 <= lam < len(counts) else 0
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

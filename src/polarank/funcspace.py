@@ -8,10 +8,11 @@ shift-operator computations are written in: act(g, f) replaces coordinate i
 by the linear form read off column i of g's matrix, and
 act(g*h, f) = act(g, act(h, f)).
 
-Group-ring elements are kept either as collected (scalar, group element)
-terms or as lazy products/linear combinations; digit projectors are products
-whose full expansion is astronomically large, but their action factors
-through the (x_1, y_1) exponent pair, so application memoizes on that pair.
+The shift operators and digit projectors are group-ring elements built from
+transvections of the (x_1, y_1) plane, which fix every other coordinate.  Each
+is kept as a PlaneOperator: the images of the q^2 plane monomials
+x_1^a y_1^b, built once from `act`.  Sums and products combine these
+columns, and applying an operator leaves the middle exponents alone.
 
 Scalars throughout are field codes; integer binomials and factorials enter
 through the prime subfield.
@@ -49,6 +50,7 @@ class FunctionSpace:
         self.field = field
         self.nvars = 2 * m
         self._vectors = None
+        self._shift_cache = {}
         self._projector_cache = {}
         self._basis_cache = {}
 
@@ -75,11 +77,10 @@ class FunctionSpace:
         return e
 
     def all_vectors(self) -> np.ndarray:
+        """Every vector of V as a (q^(2m), 2m) code array, in lexicographic order."""
         if self._vectors is None:
-            self._vectors = np.array(
-                list(itertools.product(range(self.q), repeat=self.nvars)),
-                dtype=np.uint8 if self.q <= 255 else np.uint16,
-            )
+            n, dtype = self.nvars, np.uint8 if self.q <= 255 else np.uint16
+            self._vectors = np.indices((self.q,) * n, dtype=dtype).reshape(n, -1).T
         return self._vectors
 
     def monomials(self):
@@ -256,20 +257,6 @@ class GroupElement:
             rows.append(tuple(row))
         return GroupElement(self.space, tuple(rows))
 
-    def xy_block(self):
-        """(a, b, c, d) when the matrix only mixes x_1 and y_1, else None."""
-        n = self.space.nvars
-        mat = self.matrix
-        for j in range(1, n - 1):
-            for i in range(n):
-                if mat[i][j] != (1 if i == j else 0):
-                    return None
-        for j in (0, n - 1):
-            for i in range(1, n - 1):
-                if mat[i][j] != 0:
-                    return None
-        return (mat[0][0], mat[0][n - 1], mat[n - 1][0], mat[n - 1][n - 1])
-
 
 def _preserves_form(space: FunctionSpace, matrix) -> bool:
     m, n = space.m, space.nvars
@@ -404,161 +391,130 @@ def act(g: GroupElement, f: FunctionOnV) -> FunctionOnV:
     return out
 
 
-# -- group ring elements --------------------------------------------------------
+# -- plane operators -------------------------------------------------------------
 
 
-class GroupRingElement:
-    """An element of the group ring kSp(V).
+class PlaneOperator:
+    """A linear operator on k[V] that moves only the (x_1, y_1) exponents.
 
-    Internally either a collected terms dictionary {GroupElement: code}, a
-    lazy product of factors (rightmost applied first), or a linear
-    combination [(code, element), ...].  `terms()` expands to the flat form;
-    `apply` never expands, and memoizes per (x_1, y_1) exponent pair whenever
-    every matrix involved touches only those coordinates.
+    columns[a*q + b] is the image of x_1^a y_1^b as a sparse
+    {(a', b'): code} dict.  `apply` sends each monomial through the column
+    of its (x_1, y_1) exponents and leaves the middle exponents alone; sums,
+    scalings and products combine columns, and
+    (A * B).apply(f) == A.apply(B.apply(f)).
     """
 
-    def __init__(self, space, kind, terms=None, factors=None, parts=None):
+    __slots__ = ("space", "columns")
+
+    def __init__(self, space: FunctionSpace, columns: list):
         self.space = space
-        self.kind = kind
-        self._terms = terms
-        self._factors = factors
-        self._parts = parts
-        self._pair_cache = {}
-        self._xy_local = None
-
-    # constructors ---------------------------------------------------------
+        self.columns = columns
 
     @staticmethod
-    def from_terms(space, terms: dict) -> "GroupRingElement":
-        return GroupRingElement(space, "terms", terms={g: c for g, c in terms.items() if c})
+    def identity(space) -> "PlaneOperator":
+        q = space.q
+        return PlaneOperator(space, [{(a, b): 1} for a in range(q) for b in range(q)])
 
-    @staticmethod
-    def identity(space) -> "GroupRingElement":
-        return GroupRingElement.from_terms(space, {GroupElement.identity(space): 1})
-
-    @staticmethod
-    def zero(space) -> "GroupRingElement":
-        return GroupRingElement.from_terms(space, {})
-
-    # algebra ----------------------------------------------------------------
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def _check(self, other):
         if self.space != other.space:
-            raise ContextMismatch("group ring elements from different contexts")
-        left = self._factors if self.kind == "product" else (self,)
-        right = other._factors if other.kind == "product" else (other,)
-        return GroupRingElement(self.space, "product", factors=left + right)
+            raise ContextMismatch("operators or functions from different contexts")
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return GroupRingElement(
-            self.space, "lincomb", parts=((1, self), (1, other))
+    def __mul__(self, other: "PlaneOperator") -> "PlaneOperator":
+        self._check(other)
+        add, mul = self.space.field.add, self.space.field.mul
+        q, left = self.space.q, self.columns
+        out = []
+        for col in other.columns:
+            acc = {}
+            for (a, b), c in col.items():
+                for key, c2 in left[a * q + b].items():
+                    acc[key] = add(acc.get(key, 0), mul(c, c2))
+            out.append({key: c for key, c in acc.items() if c})
+        return PlaneOperator(self.space, out)
+
+    def _plus(self, other: "PlaneOperator", code: int) -> "PlaneOperator":
+        """self + code * other."""
+        self._check(other)
+        add, mul = self.space.field.add, self.space.field.mul
+        out = []
+        for mine, theirs in zip(self.columns, other.columns):
+            acc = dict(mine)
+            for key, c in theirs.items():
+                acc[key] = add(acc.get(key, 0), mul(code, c))
+            out.append({key: c for key, c in acc.items() if c})
+        return PlaneOperator(self.space, out)
+
+    def __add__(self, other: "PlaneOperator") -> "PlaneOperator":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "PlaneOperator") -> "PlaneOperator":
+        return self._plus(other, self.space.field.neg(1))
+
+    def scaled(self, code: int) -> "PlaneOperator":
+        mul = self.space.field.mul
+        # a field has no zero divisors, so only code 0 creates zero entries
+        return PlaneOperator(
+            self.space,
+            [{key: mul(code, c) for key, c in col.items()} if code else {} for col in self.columns],
         )
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return GroupRingElement(
-            self.space, "lincomb", parts=((1, self), (self.space.field.neg(1), other))
-        )
-
-    def scaled(self, code: int) -> "GroupRingElement":
-        return GroupRingElement(self.space, "lincomb", parts=((code, self),))
-
-    # application -------------------------------------------------------------
-
-    def is_xy_local(self) -> bool:
-        if self._xy_local is None:
-            if self.kind == "terms":
-                self._xy_local = all(g.xy_block() is not None for g in self._terms)
-            elif self.kind == "product":
-                self._xy_local = all(f.is_xy_local() for f in self._factors)
-            else:
-                self._xy_local = all(op.is_xy_local() for _, op in self._parts)
-        return self._xy_local
 
     def apply(self, f: FunctionOnV) -> FunctionOnV:
-        if self.space != f.space:
-            raise ContextMismatch("operator and function contexts differ")
-        sp = self.space
-        if not self.is_xy_local():
-            return self._apply_raw(f)
-        add, mul = sp.field.add, sp.field.mul
+        self._check(f)
+        add, mul = self.space.field.add, self.space.field.mul
+        q = self.space.q
         out = {}
         for exps, coeff in f.coeffs.items():
-            pair = (exps[0], exps[-1])
-            cached = self._pair_cache.get(pair)
-            if cached is None:
-                mono = [0] * sp.nvars
-                mono[0], mono[-1] = pair
-                cached = self._apply_raw(FunctionOnV(sp, {tuple(mono): 1}))
-                if any(any(e2[1:-1]) for e2 in cached.coeffs):
-                    raise InvariantError(f"xy-local operator moved a middle variable of {pair}")
-                self._pair_cache[pair] = cached
-            for e2, c2 in cached.coeffs.items():
-                key = (e2[0],) + exps[1:-1] + (e2[-1],)
-                c = mul(coeff, c2)
-                prev = out.get(key, 0)
-                out[key] = add(prev, c)
-        return FunctionOnV(sp, out)
-
-    def _apply_raw(self, f: FunctionOnV) -> FunctionOnV:
-        sp = self.space
-        if self.kind == "terms":
-            out = FunctionOnV.zero(sp)
-            for g, c in self._terms.items():
-                out = out + act(g, f).scale(c)
-            return out
-        if self.kind == "product":
-            for fac in reversed(self._factors):
-                f = fac.apply(f)
-                if f.is_zero():
-                    return f
-            return f
-        out = FunctionOnV.zero(sp)
-        for c, op in self._parts:
-            out = out + op.apply(f).scale(c)
-        return out
-
-    # expansion -----------------------------------------------------------------
-
-    def terms(self, limit: int = 1 << 20) -> dict:
-        """Collected {GroupElement: code} form; may be large for products."""
-        fld = self.space.field
-        if self.kind == "terms":
-            return dict(self._terms)
-        if self.kind == "product":
-            out = {GroupElement.identity(self.space): 1}
-            for fac in self._factors:
-                fac_terms = fac.terms(limit)
-                new = {}
-                if len(out) * len(fac_terms) > limit:
-                    raise RangeError("expansion exceeds limit")
-                for g1, c1 in out.items():
-                    for g2, c2 in fac_terms.items():
-                        g = g1 * g2
-                        c = fld.mul(c1, c2)
-                        prev = new.get(g, 0)
-                        new[g] = fld.add(prev, c)
-                out = {g: c for g, c in new.items() if c}
-            return out
-        out = {}
-        for c, op in self._parts:
-            for g, c2 in op.terms(limit).items():
-                prev = out.get(g, 0)
-                out[g] = fld.add(prev, fld.mul(c, c2))
-        return {g: c for g, c in out.items() if c}
+            middle = exps[1:-1]
+            for (a, b), c in self.columns[exps[0] * q + exps[-1]].items():
+                key = (a,) + middle + (b,)
+                out[key] = add(out.get(key, 0), mul(coeff, c))
+        return FunctionOnV(self.space, out)
 
 
-def _shift_terms(space: FunctionSpace, ell: int, j: int, mirror: bool) -> GroupRingElement:
-    fld = space.field
+def _shift_terms(space: FunctionSpace, ell: int, j: int, mirror: bool) -> PlaneOperator:
+    """sum over nonzero mu of mu^(ell p^j) times the plane transvection by mu^-1.
+
+    The transvection moves one of x_1, y_1 and fixes the other, and `act`
+    is multiplicative, so the image of x_1^a y_1^b is the sum's image of the
+    moved variable's power times the fixed variable's power: one `act` per
+    exponent of the moved variable and per scalar.  Cached on the space.
+    """
+    key = (ell, j, mirror)
+    cached = space._shift_cache.get(key)
+    if cached is not None:
+        return cached
+    fld, q, n = space.field, space.q, space.nvars
     make = transvection_y if mirror else transvection_x
-    terms = {}
+    moved, fixed = (n - 1, 0) if mirror else (0, n - 1)
     exp = ell * space.p**j
-    for mu in range(1, space.q):
-        g = make(space, fld.inv(mu))
-        terms[g] = fld.add(terms.get(g, 0), fld.pow(mu, exp))
-    return GroupRingElement.from_terms(space, terms)
+    terms = [(fld.pow(mu, exp), make(space, fld.inv(mu))) for mu in range(1, q)]
+
+    def power(i, e):
+        exps = [0] * n
+        exps[i] = e
+        return FunctionOnV(space, {tuple(exps): 1})
+
+    columns = [None] * (q * q)
+    for s in range(q):
+        moved_power = power(moved, s)
+        image = {}
+        for c, g in terms:
+            for e, c2 in act(g, moved_power).coeffs.items():
+                if any(e[1:-1]):
+                    raise InvariantError(f"plane transvection moved a middle variable: {e}")
+                image[e] = fld.add(image.get(e, 0), fld.mul(c, c2))
+        image = FunctionOnV(space, image)
+        for u in range(q):
+            col = image * power(fixed, u)
+            columns[u * q + s if mirror else s * q + u] = {
+                (e[0], e[-1]): c for e, c in col.coeffs.items()
+            }
+    op = PlaneOperator(space, columns)
+    space._shift_cache[key] = op
+    return op
 
 
-def shift_operator(space: FunctionSpace, ell: int, j: int) -> GroupRingElement:
+def shift_operator(space: FunctionSpace, ell: int, j: int) -> PlaneOperator:
     """g_ell(j) = sum over nonzero mu of mu^(ell p^j) (x_1 -> x_1 + mu^-1 y_1)."""
     if not 1 <= ell <= space.p - 1:
         raise RangeError(f"ell={ell} outside [1, {space.p - 1}]")
@@ -567,7 +523,7 @@ def shift_operator(space: FunctionSpace, ell: int, j: int) -> GroupRingElement:
     return _shift_terms(space, ell, j, mirror=False)
 
 
-def shift_mirror(space: FunctionSpace, ell: int, j: int) -> GroupRingElement:
+def shift_mirror(space: FunctionSpace, ell: int, j: int) -> PlaneOperator:
     """h_ell(j): the same sum built on y_1 -> y_1 + mu x_1."""
     if not 1 <= ell <= space.p - 1:
         raise RangeError(f"ell={ell} outside [1, {space.p - 1}]")
@@ -597,7 +553,7 @@ def shift_predicted(space: FunctionSpace, ell: int, j: int, exps) -> FunctionOnV
     return FunctionOnV(space, {tuple(new): coeff})
 
 
-def digit_projector(space: FunctionSpace, alpha: int, beta: int, j: int) -> GroupRingElement:
+def digit_projector(space: FunctionSpace, alpha: int, beta: int, j: int) -> PlaneOperator:
     """g_{alpha,beta}(j): picks out basis monomials whose (x_1, y_1) exponents
     have j-th digits (alpha, beta) or the complementary (p-1-beta, p-1-alpha).
 
@@ -641,7 +597,7 @@ def digit_projector(space: FunctionSpace, alpha: int, beta: int, j: int) -> Grou
                 if not 0 <= delta <= p - 1:
                     continue
                 core = core * (
-                    GroupRingElement.identity(space)
+                    PlaneOperator.identity(space)
                     - digit_projector(space, gamma, delta, j)
                 )
         scalar = fld.neg(fld.inv(binom_mod_p(alpha + beta, beta, p)))

@@ -129,17 +129,18 @@ def rank_mod_p(mat, p: int | None = None) -> int:
     required.
     """
     if hasattr(mat, "indptr"):
-        cols = mat.cols
+        n_rows, cols = mat.rows, mat.cols
         p = mat.modulus if p is None else p
-        rows = (_dense_row(mat.row(i), cols) for i in range(mat.rows))
+        rows = (_dense_row(mat.row(i), cols) for i in range(n_rows))
     else:
         if p is None:
             raise RangeError("p required for plain arrays")
         rows = np.asarray(mat)
         if rows.ndim != 2:
             raise RangeError("expected a 2-D matrix")
-        cols = rows.shape[1]
-    acc = DenseRowPacked(int(cols), int(p))
+        n_rows, cols = rows.shape
+    # start no larger than the rank can grow, so a short matrix allocates little
+    acc = DenseRowPacked(int(cols), int(p), capacity=max(1, min(64, n_rows)))
     for row in rows:
         acc.insert(row)
     return acc.rank

@@ -177,6 +177,9 @@ def test_rank_point_flat_large_t():
     # (2m-r)^200 ideal elements: out of reach of the ideal sums
     assert rank_point_flat(2, 3, 200, 2) == rank_W3_closed_form(3, 200)
     assert rank_point_flat(3, 7, 100, 1) == point_count(3, 7**100)
+    # a large prime: 841 transfer-matrix degrees from one digit-count polynomial
+    for t in (1, 2, 3):
+        assert rank_point_flat(2, 211, t, 2) == rank_W3_closed_form(211, t)
 
 
 def test_closed_form_examples_and_recurrence_route():

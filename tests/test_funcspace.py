@@ -330,39 +330,53 @@ def test_sp_invariance_desk_scale(sp3):
     assert report["passed"], report
 
 
-def test_group_ring_expansion_matches_lazy_apply(sp9):
-    # a shift operator is already in collected form: 8 transvection terms
-    g1 = fs.shift_operator(sp9, 1, 0)
-    assert len(g1.terms()) == 8
-    # base-case projector: expansion collapses to a modest collected sum whose
-    # action must agree with the lazy product everywhere on the (x1,y1) grid
-    proj = fs.digit_projector(sp9, 1, 1, 0)
-    flat = fs.GroupRingElement.from_terms(sp9, proj.terms())
-    for a in range(9):
-        for b in range(9):
-            f = fs.FunctionOnV(sp9, {(a, 0, 0, b): 1})
-            assert flat.apply(f) == proj.apply(f)
+def test_shift_operators_equal_defining_sum_q9(sp9):
+    # every plane monomial times a fixed middle monomial, through the
+    # defining sum of transvections acting on the whole function
+    fld = sp9.field
+    for mirror, build, make in (
+        (False, fs.shift_operator, fs.transvection_x),
+        (True, fs.shift_mirror, fs.transvection_y),
+    ):
+        for ell in (1, 2):
+            for j in (0, 1):
+                op = build(sp9, ell, j)
+                for a in range(9):
+                    for b in range(9):
+                        f = fs.FunctionOnV(sp9, {(a, 2, 5, b): 1})
+                        want = fs.FunctionOnV.zero(sp9)
+                        for mu in range(1, 9):
+                            image = fs.act(make(sp9, fld.inv(mu)), f)
+                            want = want + image.scale(fld.pow(mu, ell * 3**j))
+                        assert op.apply(f) == want, (mirror, ell, j, a, b)
 
 
-def test_group_ring_algebra_on_functions(sp9):
-    one = fs.GroupRingElement.identity(sp9)
+def test_shift_rejects_transvection_moving_middle_variable(monkeypatch):
+    space = fs.FunctionSpace(2, build_field(3, 1))
+    # direction y_1 + x_2: the substitution for x_1 picks up an x_2 term
+    monkeypatch.setattr(
+        fs, "transvection_x",
+        lambda sp, mu: fs.symplectic_transvection(sp, (0, 1, 0, 1), mu),
+    )
+    with pytest.raises(InvariantError):
+        fs.shift_operator(space, 1, 0)
+
+
+def test_group_ring_algebra_on_functions(sp9, sp3):
+    one = fs.PlaneOperator.identity(sp9)
     g1 = fs.shift_operator(sp9, 1, 0)
+    h1 = fs.shift_mirror(sp9, 1, 0)
     f = fs.FunctionOnV.monomial(sp9, (4, 1, 0, 3))
     lhs = (one - g1).apply(f)
     rhs = f - g1.apply(f)
     assert lhs == rhs
-    comp = g1 * g1
-    assert comp.apply(f) == g1.apply(g1.apply(f))
-
-
-def test_group_ring_with_plane_mixing_terms(sp9):
-    # operators whose matrices leave the (x1, y1) plane exercise the
-    # generic (non-memoized) application path
-    v = (1, 1, 0, 0)
-    g = fs.symplectic_transvection(sp9, v, 2)
-    op = fs.GroupRingElement.from_terms(
-        sp9, {g: 1, fs.GroupElement.identity(sp9): 1}
-    )
-    assert not op.is_xy_local()
-    f = fs.FunctionOnV(sp9, {(2, 1, 0, 3): 4, (0, 0, 5, 0): 1})
-    assert op.apply(f) == fs.act(g, f) + f
+    assert (g1 + h1.scaled(5)).apply(f) == g1.apply(f) + h1.apply(f).scale(5)
+    assert g1.scaled(0).apply(f).is_zero()
+    # g1 and h1 do not commute on f, so the composition order is pinned
+    assert not h1.apply(g1.apply(f)).is_zero() and g1.apply(h1.apply(f)).is_zero()
+    assert (h1 * g1).apply(f) == h1.apply(g1.apply(f))
+    assert (g1 * h1).apply(f) == g1.apply(h1.apply(f))
+    with pytest.raises(ContextMismatch):
+        one * fs.PlaneOperator.identity(sp3)
+    with pytest.raises(ContextMismatch):
+        one.apply(fs.FunctionOnV.one(sp3))

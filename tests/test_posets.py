@@ -1,5 +1,9 @@
 import itertools
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from polarank.posets import (
     HType,
     SignedHType,
@@ -136,6 +140,24 @@ def test_signed_order_is_partial_order_exhaustive_232():
             for c in s:
                 if signed_leq(a, b) and signed_leq(b, c):
                     assert signed_leq(a, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([2, 3]),
+    p=st.sampled_from([3, 5, 7]),
+    t=st.integers(1, 3),
+    data=st.data(),
+)
+def test_signed_order_axioms_property(m, p, t, data):
+    d = data.draw(st.integers(0, p**t - 2), label="d")
+    s = enumerate_S(m, p, t, d)
+    assert s and len({a.key() for a in s}) == len(s)
+    leq = np.array([[signed_leq(a, b) for b in s] for a in s], dtype=bool)
+    assert leq.diagonal().all()  # reflexive
+    assert not (leq & leq.T & ~np.eye(len(s), dtype=bool)).any()  # antisymmetric
+    through = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
+    assert not (through & ~leq).any()  # transitive
 
 
 def test_z_multiplicativity_identity():
