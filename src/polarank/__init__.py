@@ -10,7 +10,7 @@ Three independent pillars, cross-validated against each other:
   identities the formulas rest on (`funcspace`).
 """
 
-from .gf import FieldElement, FieldSpec, binom_mod_p, build_field, enumerate_field
+from .gf import FieldSpec, binom_mod_p, build_field
 from .geometry import (
     SymplecticSpace,
     enumerate_all_subspaces,
@@ -21,7 +21,6 @@ from .geometry import (
     isotropic_count,
     perp,
     point_count,
-    symplectic_form,
 )
 from .incidence import (
     SparseIncidenceMatrix,

@@ -11,10 +11,10 @@ through the trace/determinant linear recurrence of the transfer matrix rather
 than through floats.
 
 d_lambda is the dimension of the degree-lambda piece of the truncated
-polynomial ring in 2m variables (all p-th powers of variables killed).  It is
-computed two ways, an alternating binomial sum and a digit-composition count,
-and the table constructor insists they agree; the composition count is the
-independent oracle.
+polynomial ring in 2m variables (all p-th powers of variables killed).  The
+transfer matrix reads its (2m-r)^2 entries from the alternating binomial sum,
+O(lambda/p) terms each.  The digit-composition count is the independent
+oracle: the full table constructor insists the two agree.
 """
 
 from __future__ import annotations
@@ -214,14 +214,15 @@ def _int_det(a):
 
 def _d_matrix_entries(m: int, p: int, r: int) -> tuple:
     """Transfer-matrix entries; valid at p = 2 as pure combinatorics."""
-    table_vals = [count_digit_tuples(m, p, lam) for lam in range(2 * m * (p - 1) + 1)]
+    hi = 2 * m * (p - 1)
+
+    def d(lam):  # d_lambda = 0 outside [0, 2m(p-1)]
+        return dim_S_lambda(m, p, lam) if 0 <= lam <= hi else 0
+
     n = 2 * m - r
-    # d_lambda = 0 outside [0, 2m(p-1)]; p*j - i lies in [p - n, p*n - 1], so
-    # indices past either end of the table land in the zero padding
-    padded = table_vals + [0] * p * n
-    rows = [[padded[p * j - i] for j in range(1, n + 1)] for i in range(1, n + 1)]
+    rows = [[d(p * j - i) for j in range(1, n + 1)] for i in range(1, n + 1)]
     if r == m:
-        d_mid = table_vals[m * (p - 1)]
+        d_mid = d(m * (p - 1))
         if (d_mid + p**m) % 2 != 0:
             raise ParityError(f"d_mid={d_mid} and p^m={p**m} have different parity")
         rows[m - 1][m - 1] = (d_mid + p**m) // 2

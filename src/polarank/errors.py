@@ -17,10 +17,6 @@ class UnsupportedCharacteristic(PolarankError, ValueError):
     """p = 2 requested on a path that requires odd characteristic."""
 
 
-class FieldMismatch(PolarankError, ValueError):
-    """Operands belong to different field constructions."""
-
-
 class DivisionByZero(PolarankError, ZeroDivisionError):
     """Multiplicative inverse of zero."""
 

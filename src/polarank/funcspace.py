@@ -41,11 +41,14 @@ from .posets import LambdaType, SignedHType, h_type_from_lambda, signed_leq, typ
 
 
 class FunctionSpace:
-    """Context object for k[V]: dimensions, caches, and index conventions."""
+    """Context object for k[V]: dimensions, caches, and index conventions.
+
+    `symplectic` is V with its alternating form; building it applies the
+    geometry's m >= 2 and odd-p checks.
+    """
 
     def __init__(self, m: int, field: FieldSpec):
-        if m < 1:
-            raise RangeError("m >= 1")
+        self.symplectic = SymplecticSpace(m, field)
         self.m = m
         self.field = field
         self.nvars = 2 * m
@@ -88,10 +91,10 @@ class FunctionSpace:
         return itertools.product(range(self.q), repeat=self.nvars)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FunctionSpace)
             and self.m == other.m
-            and self.field == other.field
+            and self.field is other.field
         )
 
     def __hash__(self):
@@ -112,7 +115,7 @@ class FunctionOnV:
 
     @staticmethod
     def monomial(space, exps, coeff=1) -> "FunctionOnV":
-        """Coefficient is a field code; use field.neg / int_code for signs."""
+        """Coefficient is a field code; use field.neg for signs."""
         exps = tuple(exps)
         if len(exps) != space.nvars or any(not 0 <= e < space.q for e in exps):
             raise RangeError(f"bad exponent tuple {exps}")
@@ -259,37 +262,21 @@ class GroupElement:
 
 
 def _preserves_form(space: FunctionSpace, matrix) -> bool:
-    m, n = space.m, space.nvars
-    fld = space.field
-    neg = fld.neg
-
-    def gram(i, j):
-        if j == n - 1 - i:
-            return 1 if i < m else neg(1)
-        return 0
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            # (M^T G M)[i][j] = sum_{k,l} M[k][i] G(k,l) M[l][j]
-            acc = 0
-            for k in range(n):
-                if matrix[k][i]:
-                    l = n - 1 - k
-                    g = gram(k, l)
-                    if matrix[l][j]:
-                        acc = fld.add(acc, fld.mul(matrix[k][i], fld.mul(g, matrix[l][j])))
-            if acc != gram(i, j):
-                return False
-    return True
+    """<M e_i, M e_j> = <e_i, e_j> for all i < j; M e_i is column i."""
+    geo, n = space.symplectic, space.nvars
+    cols = list(zip(*matrix))
+    return all(
+        geo.form_code(cols[i], cols[j]) == geo.form_code(geo.basis_vector(i), geo.basis_vector(j))
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
 
 
 def symplectic_transvection(space: FunctionSpace, v, mu_code: int) -> GroupElement:
     """T_v(mu): x -> x + mu <x, v> v."""
     fld = space.field
     n = space.nvars
-    geo = SymplecticSpace.__new__(SymplecticSpace)
-    geo.m, geo.field, geo.dim = space.m, fld, n
-    grad = geo.form_gradient(v).tolist()
+    grad = space.symplectic.form_gradient(v).tolist()
     rows = []
     for i in range(n):
         row = []

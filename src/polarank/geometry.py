@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvariantError, RangeError, UnsupportedCharacteristic
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -104,11 +104,6 @@ class SymplecticSpace:
 
     def __repr__(self):
         return f"SymplecticSpace(m={self.m}, q={self.q})"
-
-
-def symplectic_form(space: SymplecticSpace, u, v) -> FieldElement:
-    """The alternating form <u, v> as a field element."""
-    return FieldElement(space.field, space.form_code(u, v))
 
 
 def enumerate_points(space: SymplecticSpace) -> np.ndarray:

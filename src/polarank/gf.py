@@ -9,18 +9,20 @@ degree t, coefficients compared low-degree-first.  This makes every field
 construction reproducible with no external polynomial tables.  (Conway
 polynomials are deliberately not used: nothing here compares subfield towers.)
 
-Scalar arithmetic goes through flat lookup tables once the field is touched;
-``np_tables`` exposes the same tables as numpy arrays for vectorized work.
+Each field builds one set of tables (add, mul, neg, inv, pow), vectorized
+over the digit arrays of all q codes, the first time it is used.
+``np_tables`` returns them as numpy arrays; the scalar methods index flat
+list views of the same arrays.  ``build_field`` makes one FieldSpec per
+(p, t), so fields are equal exactly when they are the same object.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositeP, DivisionByZero, FieldMismatch, InvariantError, RangeError
+from .errors import CompositeP, DivisionByZero, InvariantError, RangeError
 
 _TABLE_LIMIT = 4096  # largest q for which full q*q tables are built
 
@@ -217,11 +219,14 @@ def _smallest_irreducible(p, t):
     raise InvariantError(f"no irreducible of degree {t} over GF({p})")
 
 
-# -- field spec and elements --------------------------------------------------
+# -- the field ------------------------------------------------------------------
 
 
 class FieldSpec:
-    """GF(p^t) with deterministic modulus; elements are integer codes 0..q-1."""
+    """GF(p^t) with deterministic modulus; elements are integer codes 0..q-1.
+
+    `build_field` makes one object per (p, t), so fields compare by identity.
+    """
 
     def __init__(self, p: int, t: int, _token=None):
         if _token is not _BUILD_TOKEN:
@@ -230,171 +235,71 @@ class FieldSpec:
         self.t = t
         self.q = p**t
         self.modulus = _smallest_irreducible(p, t)
-        self._tables = None
-        self._np_tables = None
 
-    # encoding ----------------------------------------------------------
-
-    def coeffs(self, code: int) -> tuple:
-        """Polynomial-basis coefficient tuple (c_0, ..., c_{t-1}) of a code."""
-        out = []
-        for _ in range(self.t):
-            out.append(code % self.p)
-            code //= self.p
-        return tuple(out)
-
-    def code(self, coeffs) -> int:
-        if len(coeffs) != self.t:
-            raise RangeError(f"need {self.t} coefficients, got {len(coeffs)}")
-        out = 0
-        for c in reversed(coeffs):
-            if not 0 <= c < self.p:
-                raise RangeError(f"coefficient {c} not reduced mod {self.p}")
-            out = out * self.p + c
-        return out
-
-    # scalar arithmetic on codes -----------------------------------------
-
-    def _ensure_tables(self):
-        if self._tables is not None:
-            return self._tables
+    @functools.cached_property
+    def _np_tables(self):
+        """(add, mul, neg, inv, pow), vectorized over the digits of all q codes."""
         p, t, q = self.p, self.t, self.q
         if q > _TABLE_LIMIT:
             raise RangeError(f"q={q} too large for table-backed arithmetic")
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        neg = [0] * q
-        inv = [0] * q
-        if t == 1:
-            for a in range(q):
-                neg[a] = (-a) % p
-                for b in range(q):
-                    add[a * q + b] = (a + b) % p
-                    mul[a * q + b] = (a * b) % p
-        else:
-            coeff = [self.coeffs(a) for a in range(q)]
-            for a in range(q):
-                ca = coeff[a]
-                neg[a] = self.code(tuple((-c) % p for c in ca))
-                pa = _poly_trim(ca)
-                for b in range(a, q):
-                    s = self.code(tuple((x + y) % p for x, y in zip(ca, coeff[b])))
-                    add[a * q + b] = s
-                    add[b * q + a] = s
-                    m = _poly_mulmod(pa, _poly_trim(coeff[b]), self.modulus, p)
-                    mc = self.code(tuple(m) + (0,) * (t - len(m)))
-                    mul[a * q + b] = mc
-                    mul[b * q + a] = mc
-        for a in range(1, q):
-            if inv[a]:
-                continue
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    inv[b] = a
-                    break
-        frob = [self.pow(a, p, _tables=(add, mul, neg, inv, None)) for a in range(q)]
-        self._tables = (add, mul, neg, inv, frob)
-        return self._tables
+        place = p ** np.arange(t)
+        digits = np.arange(q)[:, None] // place % p  # digits[b, i]: coefficient of x^i in b
+        add = ((digits[:, None] + digits[None]) % p) @ place
+        neg = (-digits % p) @ place
+        # x^i * b for every b, by shift-and-reduce with x^t = -(m_0 + ... + m_{t-1} x^(t-1))
+        low = np.array(self.modulus[:t])
+        shifted, prod = digits, digits[:, None, 0, None] * digits[None]
+        for i in range(1, t):
+            up = np.zeros_like(shifted)
+            up[:, 1:] = shifted[:, :-1]
+            shifted = (up - shifted[:, -1:] * low) % p
+            prod = prod + digits[:, None, i, None] * shifted[None]
+        mul = (prod % p) @ place
+        inv = np.argmax(mul == 1, axis=1)  # 0 for code 0, which has no 1 in its row
+        pow_ = np.ones((q, q), dtype=mul.dtype)  # pow[a, k] = a^k for k < q, 0^0 = 1
+        for k in range(1, q):
+            pow_[:, k] = mul[pow_[:, k - 1], np.arange(q)]
+        dtype = np.uint8 if q <= 255 else np.uint16
+        return tuple(a.astype(dtype) for a in (add, mul, neg, inv, pow_))
+
+    def np_tables(self):
+        """Numpy tables (add, mul, neg, inv, pow) of the field.
+
+        pow is a q x q array with pow[a, k] = a^k for 0 <= k < q, 0^0 = 1.
+        """
+        return self._np_tables
+
+    @functools.cached_property
+    def _lists(self):
+        # flat list views of the same tables, for fast scalar lookups
+        return tuple(a.ravel().tolist() for a in self._np_tables)
+
+    # scalar arithmetic on codes -----------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        t = self._ensure_tables()
-        return t[0][a * self.q + b]
+        return self._lists[0][a * self.q + b]
 
     def sub(self, a: int, b: int) -> int:
-        t = self._ensure_tables()
-        return t[0][a * self.q + t[2][b]]
+        lists = self._lists
+        return lists[0][a * self.q + lists[2][b]]
 
     def neg(self, a: int) -> int:
-        return self._ensure_tables()[2][a]
+        return self._lists[2][a]
 
     def mul(self, a: int, b: int) -> int:
-        t = self._ensure_tables()
-        return t[1][a * self.q + b]
+        return self._lists[1][a * self.q + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in GF({self.q})")
-        return self._ensure_tables()[3][a]
+        return self._lists[3][a]
 
-    def pow(self, a: int, n: int, _tables=None) -> int:
-        tabs = _tables or self._ensure_tables()
-        mul = tabs[1]
+    def pow(self, a: int, n: int) -> int:
         if n < 0:
-            if a == 0:
-                raise DivisionByZero(f"inverse of 0 in GF({self.q})")
-            a = tabs[3][a]
-            n = -n
-        result, base = 1, a
-        while n:
-            if n & 1:
-                result = mul[result * self.q + base]
-            base = mul[base * self.q + base]
-            n >>= 1
-        return result
-
-    def frobenius(self, a: int) -> int:
-        return self._ensure_tables()[4][a]
-
-    def int_code(self, n: int) -> int:
-        """Code of the prime-subfield element n mod p."""
-        return n % self.p
-
-    def np_tables(self):
-        """Numpy views (add, mul, neg, inv, pow) of the scalar tables.
-
-        pow is a q x q array with pow[a, k] = a^k for 0 <= k < q, 0^0 = 1.
-        """
-        if self._np_tables is None:
-            add, mul, neg, inv, _ = self._ensure_tables()
-            q = self.q
-            dtype = np.uint8 if q <= 255 else np.uint16
-            add_a = np.array(add, dtype=dtype).reshape(q, q)
-            mul_a = np.array(mul, dtype=dtype).reshape(q, q)
-            pow_a = np.ones((q, q), dtype=dtype)
-            for a in range(q):
-                acc = 1
-                for k in range(1, q):
-                    acc = mul[acc * q + a]
-                    pow_a[a, k] = acc
-            self._np_tables = (
-                add_a,
-                mul_a,
-                np.array(neg, dtype=dtype),
-                np.array(inv, dtype=dtype),
-                pow_a,
-            )
-        return self._np_tables
-
-    # element-level API ----------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise FieldMismatch("element from a different field")
-            return value
-        if isinstance(value, int):
-            if not 0 <= value < self.q:
-                raise RangeError(f"code {value} outside [0, {self.q})")
-            return FieldElement(self, value)
-        return FieldElement(self, self.code(tuple(value)))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.t, self.modulus) == (other.p, other.t, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.t, self.modulus))
+            a, n = self.inv(a), -n
+        if n >= self.q:  # a^(q-1) = 1 for a != 0, and 0^n = 0 for n > 0
+            n = (n - 1) % (self.q - 1) + 1
+        return self._lists[4][a * self.q + n]
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, t={self.t}, modulus={self.modulus})"
@@ -411,82 +316,3 @@ def build_field(p: int, t: int) -> FieldSpec:
     if t < 1:
         raise RangeError(f"t={t} must be positive")
     return FieldSpec(p, t, _token=_BUILD_TOKEN)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """One element of a FieldSpec, in canonical reduced form."""
-
-    field: FieldSpec
-    code: int
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.field.coeffs(self.code)
-
-    def _peer(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatch("mixed field operands")
-            return other.code
-        if isinstance(other, int):
-            return self.field.int_code(other)
-        return None
-
-    def __add__(self, other):
-        c = self._peer(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._peer(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._peer(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._peer(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._peer(other)
-        if c is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(c)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.code, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def frobenius(self) -> "FieldElement":
-        """The image under x -> x^p."""
-        return FieldElement(self.field, self.field.frobenius(self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"GF({self.field.q}):{self.coeffs}"
-
-
-def enumerate_field(spec: FieldSpec) -> list:
-    """All q elements in canonical code order (0 first, 1 second)."""
-    return [FieldElement(spec, c) for c in range(spec.q)]

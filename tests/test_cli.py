@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from polarank import cli
@@ -168,8 +169,14 @@ def test_posets_nonzero_grading(capsys):
 
 
 def test_lab_ledger_schema(capsys):
-    code, doc = run_json(capsys, "lab", "verify-lemmas", "--m", "2", "--p", "3", "--t", "1")
+    code, out = run(capsys, "lab", "verify-lemmas", "--m", "2", "--p", "3", "--t", "1")
+    doc = json.loads(out)
+    validate_report(doc)
     assert code == 0 and doc["passed"] is True
+    # the whole ledger, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "25774fadc4021d6559fcb553f1a57abde6a03c3835c0035c2609e55e350c3516"
+    )
 
 
 def test_out_file(tmp_path, capsys):

@@ -177,9 +177,11 @@ def test_rank_point_flat_large_t():
     # (2m-r)^200 ideal elements: out of reach of the ideal sums
     assert rank_point_flat(2, 3, 200, 2) == rank_W3_closed_form(3, 200)
     assert rank_point_flat(3, 7, 100, 1) == point_count(3, 7**100)
-    # a large prime: 841 transfer-matrix degrees from one digit-count polynomial
+    # large primes: the four entries come from the alternating sum alone
     for t in (1, 2, 3):
         assert rank_point_flat(2, 211, t, 2) == rank_W3_closed_form(211, t)
+    p = 10007
+    assert rank_point_flat(2, p, 1, 2) == 1 + p * (p + 1) ** 2 // 2
 
 
 def test_closed_form_examples_and_recurrence_route():
@@ -206,6 +208,9 @@ def test_broken_invariants_raise(monkeypatch):
     )
     with pytest.raises(InvariantError):
         dimension_table.__wrapped__(2, 3)
+    monkeypatch.undo()
+    # the transfer matrix reads its entries from the alternating sum
+    monkeypatch.setattr(dimensions, "dim_S_lambda", lambda m, p, lam: dim_S_lambda(m, p, lam) + 1)
     with pytest.raises(ParityError):
         build_D_matrix(2, 3)
 

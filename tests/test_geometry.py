@@ -5,6 +5,7 @@ import pytest
 
 from polarank import linalg
 from polarank.errors import DimensionMismatch, RangeError, UnsupportedCharacteristic
+from polarank.funcspace import FunctionSpace
 from polarank.gf import build_field
 from polarank.geometry import (
     SymplecticSpace,
@@ -16,7 +17,6 @@ from polarank.geometry import (
     isotropic_count,
     perp,
     point_count,
-    symplectic_form,
 )
 
 
@@ -29,17 +29,21 @@ def test_rejects_char2_and_small_m():
         SymplecticSpace(2, build_field(2, 2))
     with pytest.raises(RangeError):
         SymplecticSpace(1, build_field(3, 1))
+    # k[V] is built over the same space
+    with pytest.raises(UnsupportedCharacteristic):
+        FunctionSpace(2, build_field(2, 2))
+    with pytest.raises(RangeError):
+        FunctionSpace(1, build_field(3, 1))
 
 
 def test_form_on_basis_vectors():
     sp = space(2, 3, 1)
-    one, zero = sp.field.one, sp.field.zero
     for i in (1, 2):
         for j in (1, 2):
-            assert symplectic_form(sp, sp.e(i), sp.f(j)) == (one if i == j else zero)
-            assert symplectic_form(sp, sp.e(i), sp.e(j)) == zero
-            assert symplectic_form(sp, sp.f(i), sp.f(j)) == zero
-    assert symplectic_form(sp, sp.f(1), sp.e(1)) == -one
+            assert sp.form_code(sp.e(i), sp.f(j)) == (1 if i == j else 0)
+            assert sp.form_code(sp.e(i), sp.e(j)) == 0
+            assert sp.form_code(sp.f(i), sp.f(j)) == 0
+    assert sp.form_code(sp.f(1), sp.e(1)) == sp.field.neg(1)
 
 
 def test_form_alternating_and_bilinear_random():

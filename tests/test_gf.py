@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from polarank.errors import CompositeP, DivisionByZero, FieldMismatch, RangeError
+from polarank.errors import CompositeP, DivisionByZero, RangeError
 from polarank.gf import (
     _is_irreducible,
     _poly_gcd,
@@ -12,7 +12,6 @@ from polarank.gf import (
     _poly_sub,
     binom_mod_p,
     build_field,
-    enumerate_field,
     is_prime,
 )
 
@@ -122,63 +121,62 @@ def test_composite_p_rejected():
 
 
 def test_enumeration_order_and_cardinality():
-    f3 = build_field(3, 1)
-    assert [e.code for e in enumerate_field(f3)] == [0, 1, 2]
-    f9 = build_field(3, 2)
-    els = enumerate_field(f9)
-    assert len(els) == 9 and len(set(els)) == 9
-    assert els[0].code == 0 and els[1] == f9.one
+    for p, t in [(3, 1), (3, 2), (5, 2)]:
+        f = build_field(p, t)
+        assert all(a.shape[0] == f.q for a in f.np_tables())
+        # code 0 is the zero and code 1 the one
+        assert [f.add(0, a) for a in range(f.q)] == list(range(f.q))
+        assert [f.mul(1, a) for a in range(f.q)] == list(range(f.q))
+        assert [f.mul(0, a) for a in range(f.q)] == [0] * f.q
 
 
 def test_gf9_x_squared_is_minus_one():
     f9 = build_field(3, 2)
-    x = f9.element((0, 1))
-    assert (x * x).coeffs == (2, 0)
+    x = 3  # coefficients (0, 1)
+    assert f9.mul(x, x) == 2 == f9.neg(1)  # coefficients (2, 0)
 
 
 def test_inverse_and_division():
     for p, t in [(3, 2), (5, 1), (3, 3)]:
         f = build_field(p, t)
-        assert f.one.inverse() == f.one
-        for a in enumerate_field(f)[1:]:
-            assert a * a.inverse() == f.one
+        assert f.inv(1) == 1
+        for a in range(1, f.q):
+            assert f.mul(a, f.inv(a)) == 1
+            assert f.pow(a, -1) == f.inv(a)
         with pytest.raises(DivisionByZero):
-            f.zero.inverse()
+            f.inv(0)
+        with pytest.raises(DivisionByZero):
+            f.pow(0, -2)
 
 
 def test_frobenius_order_t():
     f9 = build_field(3, 2)
-    for a in enumerate_field(f9):
-        assert a.frobenius().frobenius() == a
-        assert a.frobenius() == a**3
-
-
-def test_field_mismatch():
-    a = build_field(3, 2).one
-    b = build_field(5, 2).one
-    with pytest.raises(FieldMismatch):
-        a + b
+    frob = [f9.pow(a, 3) for a in range(9)]
+    assert [frob[frob[a]] for a in range(9)] == list(range(9))
+    assert [a for a in range(9) if frob[a] == a] == [0, 1, 2]  # the prime field
 
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (5, 2), (3, 4)])
 def test_algebraic_properties_randomized(p, t):
     f = build_field(p, t)
+    add, mul = f.add, f.mul
     rng = random.Random(11)
     for _ in range(200):
-        a, b, c = (f.element(rng.randrange(f.q)) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        a, b, c = (rng.randrange(f.q) for _ in range(3))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert f.sub(add(a, b), b) == a
 
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (3, 3), (5, 2), (3, 4)])
 def test_frobenius_fixed_point_exhaustive(p, t):
     f = build_field(p, t)
     assert f.q <= 81
-    for a in enumerate_field(f):
-        assert a ** f.q == a
+    for a in range(f.q):
+        assert f.pow(a, f.q) == a
 
 
 @pytest.mark.parametrize("p,t", [(3, 1), (3, 2), (3, 3), (5, 2), (3, 4)])
@@ -188,14 +186,61 @@ def test_multiplicative_group_cyclic(p, t):
 
     def order(a):
         k, acc = 1, a
-        while acc != f.one:
-            acc = acc * a
+        while acc != 1:
+            acc = f.mul(acc, a)
             k += 1
         return k
 
-    orders = {order(a) for a in enumerate_field(f)[1:]}
+    orders = {order(a) for a in range(1, f.q)}
     assert max(orders) == f.q - 1
     assert all((f.q - 1) % o == 0 for o in orders)
+
+
+def odd_prime_powers(limit):
+    for p in range(3, limit + 1, 2):
+        if is_prime(p):
+            q, t = p, 1
+            while q <= limit:
+                yield p, t
+                q, t = q * p, t + 1
+
+
+def test_field_is_one_object_per_p_t():
+    assert build_field(3, 2) is build_field(3, 2)
+    assert build_field(3, 2) != build_field(3, 1)
+    with pytest.raises(TypeError):
+        type(build_field(3, 2))(3, 2)
+
+
+@pytest.mark.parametrize("p,t", list(odd_prime_powers(125)))
+def test_tables_match_polynomial_arithmetic(p, t):
+    """Every add and mul entry against the digit sum and _poly_mulmod, and
+    the neg, inv and pow tables against their defining identities."""
+    f = build_field(p, t)
+    q = f.q
+    add, mul, neg, inv, pow_ = (a.astype(np.int64) for a in f.np_tables())
+
+    def digits(code):
+        return tuple(code // p**i % p for i in range(t))
+
+    def code(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    polys = [digits(a) for a in range(q)]
+    want_add = [[code((x + y) % p for x, y in zip(a, b)) for b in polys] for a in polys]
+    want_mul = [[code(_poly_mulmod(a, b, f.modulus, p)) for b in polys] for a in polys]
+    assert add.tolist() == want_add
+    assert mul.tolist() == want_mul
+    assert [[f.mul(a, b) for b in range(q)] for a in range(q)] == want_mul
+    codes = np.arange(q)
+    assert (add[codes, neg] == 0).all()
+    assert inv[0] == 0 and (mul[codes[1:], inv[1:]] == 1).all()
+    assert (pow_[:, 0] == 1).all()
+    assert (pow_[:, 1:] == mul[pow_[:, :-1], codes[:, None]]).all()
+    # exponents past the table reduce mod q-1: a^q = a, a^(q+1) = a^2, a^(2q-1) = a
+    for a in range(q):
+        got = (f.pow(a, q), f.pow(a, q + 1), f.pow(a, 2 * q - 1))
+        assert got == (pow_[a, 1], pow_[a, 2], pow_[a, 1])
 
 
 def test_lucas_binomials():
