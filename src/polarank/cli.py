@@ -3,12 +3,14 @@
 Subcommands: verify, table, export, rank, formula, dmatrix, posets,
 lab verify-lemmas.  Exit codes: 0 success (and, for verify, formula/oracle
 match); 2 a scientific mismatch between formula and oracle; 1 operational
-errors.  A mismatch never masquerades as an operational failure.
+errors, usage errors included.  A mismatch never masquerades as an
+operational failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -33,9 +35,7 @@ class VerifyJob:
     p: int
     t: int
     r: int
-    mode: str = "cross-validate"
     max_cells: int = DEFAULT_CELL_CAP
-    force: bool = False
 
     def __post_init__(self):
         if self.m < 2:
@@ -45,28 +45,42 @@ class VerifyJob:
         if not 1 <= self.r <= 2 * self.m - 1:
             raise RangeError(f"r={self.r} outside [1, {2 * self.m - 1}]")
 
-    def flat_count(self) -> int:
+    def check_cap(self):
+        """Refuse an incidence matrix of more than max_cells flat x point cells."""
         q = self.p**self.t
         r_eff = self.r if self.r <= self.m else 2 * self.m - self.r
-        return geometry.isotropic_count(self.m, r_eff, q)
-
-    def cell_count(self) -> int:
-        return self.flat_count() * geometry.point_count(self.m, self.p**self.t)
-
-    def check_cap(self):
-        cells = self.cell_count()
-        if cells > self.max_cells and not self.force:
+        cells = geometry.isotropic_count(self.m, r_eff, q) * geometry.point_count(self.m, q)
+        if cells > self.max_cells:
             raise ResourceCapExceeded(
                 f"{cells} matrix cells exceed the cap {self.max_cells}; "
-                "pass --force to override"
+                "raise it with --max-cells"
             )
 
 
-def _emit(doc: dict, out_path, fmt: str = "json") -> None:
-    if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        text = _to_csv(doc)
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift Python's 4300-digit int-to-str limit: exact ranks have no length bound.
+
+    Only the CLI's own documents are written under it; reading a matrix file
+    keeps the limit, so an over-long token there stays a FormatError.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _emit(doc, out_path, fmt: str = "json") -> None:
+    """Write a document as JSON or as a CSV rank table; a string goes out as is."""
+    with _any_int_digits():
+        if isinstance(doc, str):
+            text = doc
+        elif fmt == "json":
+            text = json.dumps(doc, indent=2, sort_keys=True)
+        else:
+            text = _table_csv(doc)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -74,16 +88,12 @@ def _emit(doc: dict, out_path, fmt: str = "json") -> None:
         print(text)
 
 
-def _to_csv(doc: dict) -> str:
+def _table_csv(doc: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if doc.get("report") == "rank-table":
-        writer.writerow(["t"] + [f"p={c['p']}" for c in doc["columns"]])
-        for i, t in enumerate(doc["t_values"]):
-            writer.writerow([t] + [c["ranks"][i] for c in doc["columns"]])
-    else:
-        for key in sorted(doc):
-            writer.writerow([key, json.dumps(doc[key])])
+    writer.writerow(["t"] + [f"p={c['p']}" for c in doc["columns"]])
+    for i, t in enumerate(doc["t_values"]):
+        writer.writerow([t] + [c["ranks"][i] for c in doc["columns"]])
     return buf.getvalue().rstrip("\n")
 
 
@@ -93,24 +103,20 @@ def _build_matrix(job: VerifyJob):
 
 
 def cmd_verify(job: VerifyJob) -> tuple[dict, int]:
-    report = RankReport(job.m, job.p, job.t, job.r, mode=job.mode)
-    if job.mode in ("formula-only", "cross-validate"):
-        timer = Timer()
-        report.formula_rank = dimensions.rank_point_flat(job.m, job.p, job.t, job.r)
-        report.timings["formula_s"] = timer.elapsed()
-    if job.mode in ("oracle-only", "cross-validate"):
-        job.check_cap()
-        timer = Timer()
-        mat = _build_matrix(job)
-        report.timings["build_s"] = timer.elapsed()
-        timer = Timer()
-        report.oracle_rank = ranks.rank_mod_p(mat)
-        report.timings["rank_s"] = timer.elapsed()
-    report.finalize()
-    doc = report.to_json()
-    if report.match is False:
-        return doc, EXIT_MISMATCH
-    return doc, EXIT_OK
+    report = RankReport(job.m, job.p, job.t, job.r)
+    timer = Timer()
+    report.formula_rank = dimensions.rank_point_flat(job.m, job.p, job.t, job.r)
+    report.timings["formula_s"] = timer.elapsed()
+    job.check_cap()
+    timer = Timer()
+    mat = _build_matrix(job)
+    report.timings["build_s"] = timer.elapsed()
+    timer = Timer()
+    report.oracle_rank = ranks.rank_mod_p(mat)
+    report.timings["rank_s"] = timer.elapsed()
+    doc = report.finalize().to_json()
+    doc["field"] = field_descriptor(job.p, job.t)
+    return doc, EXIT_OK if report.match else EXIT_MISMATCH
 
 
 def cmd_table(m: int, p_list, t_max: int) -> dict:
@@ -188,10 +194,9 @@ def cmd_formula(m: int, p: int, t: int, r: int, all_t: int | None = None) -> dic
     report = RankReport(m, p, t, r, mode="formula-only")
     report.formula_rank = dimensions.rank_point_flat(m, p, t, r)
     if all_t:
-        report.notes.append(
-            "ranks for t=1..%d: %s"
-            % (all_t, [dimensions.rank_point_flat(m, p, tt, r) for tt in range(1, all_t + 1)])
-        )
+        all_ranks = [dimensions.rank_point_flat(m, p, tt, r) for tt in range(1, all_t + 1)]
+        with _any_int_digits():
+            report.notes.append("ranks for t=1..%d: %s" % (all_t, all_ranks))
     return report.finalize().to_json()
 
 
@@ -246,8 +251,15 @@ def _add_common(sub, *flags):
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise instead of exiting 2, the code of a mismatch."""
+
+    def error(self, message):
+        raise PolarankError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polarank",
         description="Exact p-ranks of point-flat incidence in W(2m-1, p^t): "
         "geometry oracle vs representation-theoretic formulas.",
@@ -256,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp_verify = sub.add_parser("verify", help="cross-validate formula against the matrix oracle")
     _add_common(sp_verify, "m", "p", "t", "r")
-    sp_verify.add_argument("--mode", choices=["formula-only", "oracle-only", "cross-validate"], default="cross-validate")
-    sp_verify.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP)
-    sp_verify.add_argument("--force", action="store_true", help="override the cell cap")
+    sp_verify.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP, help="cell cap of the matrix build")
 
     sp_table = sub.add_parser("table", help="formula rank table over p and t")
     sp_table.add_argument("--m", type=int, required=True)
@@ -271,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp_export, "m", "p", "t", "r")
     sp_export.add_argument("--matrix-out", required=True, help="matrix file destination")
     sp_export.add_argument("--format", choices=["v1", "mm"], default="v1")
-    sp_export.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP)
-    sp_export.add_argument("--force", action="store_true")
+    sp_export.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP, help="cell cap of the matrix build")
 
     sp_rank = sub.add_parser("rank", help="rank of a matrix file over its modulus")
     sp_rank.add_argument("matrixfile")
@@ -307,47 +316,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = EXIT_OK
+        args = build_parser().parse_args(argv)
+        code, fmt = EXIT_OK, "json"
         if args.command == "verify":
-            job = VerifyJob(
-                args.m, args.p, args.t, args.r,
-                mode=args.mode, max_cells=args.max_cells, force=args.force,
-            )
+            job = VerifyJob(args.m, args.p, args.t, args.r, args.max_cells)
             doc, code = cmd_verify(job)
-            _emit(doc, args.out)
         elif args.command == "table":
-            doc = cmd_table(args.m, args.p, args.t_max)
-            _emit(doc, args.out, args.format)
+            doc, fmt = cmd_table(args.m, args.p, args.t_max), args.format
         elif args.command == "export":
-            job = VerifyJob(
-                args.m, args.p, args.t, args.r,
-                max_cells=args.max_cells, force=args.force,
-            )
+            job = VerifyJob(args.m, args.p, args.t, args.r, args.max_cells)
             doc = cmd_export(job, args.matrix_out, args.format)
-            _emit(doc, args.out)
         elif args.command == "rank":
-            _emit(cmd_rank(args.matrixfile), args.out)
+            doc = cmd_rank(args.matrixfile)
         elif args.command == "formula":
-            _emit(cmd_formula(args.m, args.p, args.t, args.r, args.all_t), args.out)
+            doc = cmd_formula(args.m, args.p, args.t, args.r, args.all_t)
         elif args.command == "dmatrix":
-            _emit(cmd_dmatrix(args.m, args.p), args.out)
-        elif args.command == "posets":
-            if args.dot:
-                from . import posets
+            doc = cmd_dmatrix(args.m, args.p)
+        elif args.command == "posets" and args.dot:
+            from . import posets
 
-                text = posets.hasse_dot(args.m, args.p, args.t, args.d, args.dot)
-                if args.out:
-                    with open(args.out, "w", encoding="utf-8") as fh:
-                        fh.write(text + "\n")
-                else:
-                    print(text)
-            else:
-                _emit(cmd_posets(args.m, args.p, args.t, args.d), args.out)
+            doc = posets.hasse_dot(args.m, args.p, args.t, args.d, args.dot)
+        elif args.command == "posets":
+            doc = cmd_posets(args.m, args.p, args.t, args.d)
         elif args.command == "lab":
             doc, code = cmd_lab_verify(args.m, args.p, args.t)
-            _emit(doc, args.out)
+        _emit(doc, args.out, fmt)
         return code
     except PolarankError as exc:
         print(f"error: {exc}", file=sys.stderr)

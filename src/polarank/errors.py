@@ -69,4 +69,4 @@ class FormatError(PolarankError, ValueError):
 
 
 class ResourceCapExceeded(PolarankError, RuntimeError):
-    """A job would exceed its configured resource cap; use force to override."""
+    """A job would exceed its resource cap; verify and export move it with --max-cells."""

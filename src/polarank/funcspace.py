@@ -51,23 +51,14 @@ class FunctionSpace:
         self.symplectic = SymplecticSpace(m, field)
         self.m = m
         self.field = field
+        self.p, self.t, self.q = field.p, field.t, field.q
         self.nvars = 2 * m
+        # reduced[e] = reduce_exp(e) for every exponent sum e = 0..2q-2 of a product
+        self.reduced = [self.reduce_exp(e) for e in range(2 * self.q - 1)]
         self._vectors = None
         self._shift_cache = {}
         self._projector_cache = {}
         self._basis_cache = {}
-
-    @property
-    def p(self):
-        return self.field.p
-
-    @property
-    def t(self):
-        return self.field.t
-
-    @property
-    def q(self):
-        return self.field.q
 
     def exponents(self, alpha, beta) -> tuple:
         """Exponent tuple of x^alpha y^beta in coordinate order."""
@@ -82,8 +73,8 @@ class FunctionSpace:
     def all_vectors(self) -> np.ndarray:
         """Every vector of V as a (q^(2m), 2m) code array, in lexicographic order."""
         if self._vectors is None:
-            n, dtype = self.nvars, np.uint8 if self.q <= 255 else np.uint16
-            self._vectors = np.indices((self.q,) * n, dtype=dtype).reshape(n, -1).T
+            n = self.nvars
+            self._vectors = np.indices((self.q,) * n, dtype=self.field.dtype).reshape(n, -1).T
         return self._vectors
 
     def monomials(self):
@@ -207,11 +198,11 @@ def reduce_and_multiply(f: FunctionOnV, g: FunctionOnV) -> FunctionOnV:
     f._check(g)
     sp = f.space
     add, mul = sp.field.add, sp.field.mul
-    red = sp.reduce_exp
+    red = sp.reduced
     out = {}
     for e1, c1 in f.coeffs.items():
         for e2, c2 in g.coeffs.items():
-            e = tuple(red(a + b) for a, b in zip(e1, e2))
+            e = tuple([red[a + b] for a, b in zip(e1, e2)])
             c = mul(c1, c2)
             prev = out.get(e, 0)
             out[e] = add(prev, c)
@@ -290,19 +281,13 @@ def symplectic_transvection(space: FunctionSpace, v, mu_code: int) -> GroupEleme
 
 
 def transvection_x(space: FunctionSpace, mu_code: int) -> GroupElement:
-    """The map substituting x_1 -> x_1 + mu y_1 and fixing all other coordinates."""
-    n = space.nvars
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows[n - 1][0] = mu_code
-    return GroupElement(space, tuple(tuple(r) for r in rows))
+    """T_{f_1}(-mu): substitutes x_1 -> x_1 + mu y_1 and fixes all other coordinates."""
+    return symplectic_transvection(space, space.symplectic.f(1), space.field.neg(mu_code))
 
 
 def transvection_y(space: FunctionSpace, mu_code: int) -> GroupElement:
-    """The mirror map y_1 -> y_1 + mu x_1."""
-    n = space.nvars
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows[0][n - 1] = mu_code
-    return GroupElement(space, tuple(tuple(r) for r in rows))
+    """T_{e_1}(mu): the mirror map y_1 -> y_1 + mu x_1."""
+    return symplectic_transvection(space, space.symplectic.e(1), mu_code)
 
 
 @lru_cache(maxsize=200_000)
@@ -835,7 +820,7 @@ def expand_in_symplectic_basis(f: FunctionOnV) -> list:
         basis = symplectic_basis(sp, lam)
         monos = sorted({e for b in basis for e in b.expand().coeffs})
         index = {e: i for i, e in enumerate(monos)}
-        a = np.zeros((len(monos), len(basis)), dtype=np.uint8 if sp.q <= 255 else np.uint16)
+        a = np.zeros((len(monos), len(basis)), dtype=fld.dtype)
         for kcol, b in enumerate(basis):
             for e, c in b.expand().coeffs.items():
                 a[index[e], kcol] = c

@@ -108,8 +108,8 @@ class SymplecticSpace:
 
 def enumerate_points(space: SymplecticSpace) -> np.ndarray:
     """All points of PG(2m-1, q), normalized, as a sorted (N, 2m) code array."""
-    n, dtype = space.dim, space.field.np_tables()[0].dtype
-    vectors = np.indices((space.q,) * n, dtype=dtype).reshape(n, -1).T  # sorted
+    n = space.dim
+    vectors = np.indices((space.q,) * n, dtype=space.field.dtype).reshape(n, -1).T  # sorted
     lead = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
     return vectors[lead == 1]
 

@@ -234,6 +234,7 @@ class FieldSpec:
         self.p = p
         self.t = t
         self.q = p**t
+        self.dtype = np.uint8 if self.q <= 255 else np.uint16  # of every code array
         self.modulus = _smallest_irreducible(p, t)
 
     @functools.cached_property
@@ -259,8 +260,7 @@ class FieldSpec:
         pow_ = np.ones((q, q), dtype=mul.dtype)  # pow[a, k] = a^k for k < q, 0^0 = 1
         for k in range(1, q):
             pow_[:, k] = mul[pow_[:, k - 1], np.arange(q)]
-        dtype = np.uint8 if q <= 255 else np.uint16
-        return tuple(a.astype(dtype) for a in (add, mul, neg, inv, pow_))
+        return tuple(a.astype(self.dtype) for a in (add, mul, neg, inv, pow_))
 
     def np_tables(self):
         """Numpy tables (add, mul, neg, inv, pow) of the field.

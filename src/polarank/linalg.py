@@ -18,8 +18,7 @@ from .gf import FieldSpec
 
 
 def as_code_matrix(field: FieldSpec, rows) -> np.ndarray:
-    dtype = np.uint8 if field.q <= 255 else np.uint16
-    a = np.array(rows, dtype=dtype)
+    a = np.array(rows, dtype=field.dtype)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     return a

@@ -2,8 +2,8 @@
 
 Every JSON document the CLI prints carries a "report" discriminator and
 validates against schemas/report.schema.json, which ships with the package.
-Reports embed the library version and the field modulus so results can be
-audited later.
+Reports embed the library version so results can be audited later; the
+documents of jobs that build GF(p^t) (verify, export) also carry its modulus.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def field_descriptor(p: int, t: int) -> dict:
 
 @dataclass
 class RankReport:
-    """One (m, p, t, r) rank computation: formula side, oracle side, or both."""
+    """One (m, p, t, r) rank computation: the formula side, or both sides."""
 
     m: int
     p: int
@@ -55,7 +55,6 @@ class RankReport:
     def to_json(self) -> dict:
         doc = {"report": "rank-verification", "version": library_version()}
         doc.update(asdict(self))
-        doc["field"] = field_descriptor(self.p, self.t)
         return doc
 
 

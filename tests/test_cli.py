@@ -1,7 +1,12 @@
+import contextlib
 import hashlib
 import json
+import sys
 
-from polarank import cli
+import pytest
+
+from polarank import cli, gf
+from polarank.dimensions import build_D_matrix, rank_W3_closed_form
 from polarank.reports import validate_report
 
 
@@ -36,18 +41,16 @@ def test_verify_perp_case_flags_note(capsys):
     assert any("coisotropic" in n for n in doc["notes"])
 
 
-def test_verify_formula_only(capsys):
+def test_formula_document_has_no_field(capsys):
     code, doc = run_json(
-        capsys, "verify", "--m", "2", "--p", "7", "--t", "3", "--r", "2",
-        "--mode", "formula-only",
+        capsys, "formula", "--m", "2", "--p", "7", "--t", "3", "--r", "2"
     )
     assert code == 0 and doc["oracle_rank"] is None and doc["match"] is None
     assert doc["formula_rank"] == rankval(7, 3)
+    assert doc["mode"] == "formula-only" and "field" not in doc
 
 
 def rankval(p, t):
-    from polarank.dimensions import rank_W3_closed_form
-
     return rank_W3_closed_form(p, t)
 
 
@@ -66,15 +69,16 @@ def test_verify_operational_error_exit_code(capsys):
     assert code == 1
 
 
-def test_cell_cap_and_force(capsys):
+def test_cell_cap_max_cells(capsys):
+    # W(3,3) lines: 40 lines x 40 points
     code = cli.main(
-        ["verify", "--m", "2", "--p", "3", "--t", "1", "--r", "2", "--max-cells", "10"]
+        ["verify", "--m", "2", "--p", "3", "--t", "1", "--r", "2", "--max-cells", "1599"]
     )
     assert code == 1
-    capsys.readouterr()
+    assert "--max-cells" in capsys.readouterr().err
     code, doc = run_json(
         capsys, "verify", "--m", "2", "--p", "3", "--t", "1", "--r", "2",
-        "--max-cells", "10", "--force",
+        "--max-cells", "1600",
     )
     assert code == 0 and doc["match"] is True
 
@@ -188,3 +192,76 @@ def test_out_file(tmp_path, capsys):
     doc = json.loads(target.read_text())
     validate_report(doc)
     assert doc["formula_rank"] == 25
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bogus"],
+        ["verify", "--m", "two", "--p", "3", "--t", "1", "--r", "2"],
+        ["verify", "--m", "2", "--p", "3", "--t", "1", "--r", "2", "--force"],
+    ],
+    ids=["bogus", "m-two", "removed-force"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # exit code 2 is a formula/oracle mismatch, never a usage error
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_exits_0_and_lists_one_cap_knob(capsys):
+    for command in ("verify", "export"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--max-cells" in usage
+        assert "--force" not in usage and "--mode" not in usage
+
+
+@contextlib.contextmanager
+def any_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_formula_never_builds_the_field(capsys, monkeypatch):
+    def refuse(p, t):
+        raise RuntimeError(f"formula built GF({p}^{t})")
+
+    monkeypatch.setattr(gf, "build_field", refuse)
+    monkeypatch.setattr(cli, "build_field", refuse)
+    for argv, want in (
+        (("--m", "2", "--p", "10007", "--t", "1000", "--r", "2"), rank_W3_closed_form(10007, 1000)),
+        (("--m", "4", "--p", "3", "--t", "1000", "--r", "4"), 1 + build_D_matrix(4, 3).trace_power(1000)),
+    ):
+        code, out = run(capsys, "formula", *argv)
+        with any_int_digits():
+            doc = json.loads(out)
+        validate_report(doc)
+        assert code == 0 and doc["formula_rank"] == want and "field" not in doc
+
+
+def test_ranks_past_the_int_digit_limit_print(capsys):
+    limit = sys.get_int_max_str_digits()
+    table = ("table", "--m", "2", "--p", "10007", "--t-max", "400")
+    outs = [
+        run(capsys, *table),
+        run(capsys, *table, "--format", "csv"),
+        run(capsys, "formula", "--m", "2", "--p", "10007", "--t", "1", "--r", "2", "--all-t", "400"),
+    ]
+    # the CLI lifts the limit only while it writes
+    assert sys.get_int_max_str_digits() == limit
+    assert [code for code, _ in outs] == [0, 0, 0]
+    # W(3, 10007^400) lines: the rank has more than 4300 digits
+    big = rank_W3_closed_form(10007, 400)
+    assert big > 10**limit
+    with any_int_digits():
+        assert json.loads(outs[0][1])["columns"][1]["ranks"][-1] == big
+        assert outs[1][1].rstrip().endswith(",%d" % big)
+        assert json.loads(outs[2][1])["notes"][0].endswith(", %d]" % big)

@@ -24,12 +24,13 @@ def test_no_assert_invariants():
 
 
 # matrix files from outside: not UTF-8, a negative column count, an Arabic-Indic
-# digit, 2^62 columns (a kernel basis past the cell cap), and a prime modulus
-# too large for any kernel lane
+# digit, a 5000-digit header field, 2^62 columns (a kernel basis past the cell
+# cap), and a prime modulus too large for any kernel lane
 MALFORMED_FILES = {
     "not-utf8": b"polar-rank-incidence v1\n1 2 3\n1 \xff\n",
     "negative-cols": b"polar-rank-incidence v1\n1 -5 3\n0\n",
     "non-ascii-digit": "polar-rank-incidence v1\n1 2 3\n1 ١\n".encode(),
+    "5000-digit-header": b"polar-rank-incidence v1\n1 " + b"9" * 5000 + b" 3\n0\n",
     "huge-columns": b"polar-rank-incidence v1\n1 4611686018427387904 3\n0\n",
     "huge-modulus": b"polar-rank-incidence v1\n1 2 1000000000000000003\n1 0\n",
 }

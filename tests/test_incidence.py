@@ -136,6 +136,8 @@ def test_header_parsing(tmp_path):
         ("polar-rank-incidence v1\n1 1_0 3\n0\n", 2),  # int() would read 10
         ("polar-rank-incidence v1\n1 2 3\n1 +1\n", 3),
         ("polar-rank-incidence v1\n2 4 3\n1 0\n\n2 3 1\n", 5),  # after a blank line
+        # more digits than int() converts
+        pytest.param("polar-rank-incidence v1\n1 " + "9" * 5000 + " 3\n0\n", 2, id="5000-digit-header"),
     ],
 )
 def test_format_errors(tmp_path, text, line):
