@@ -29,6 +29,15 @@ EXIT_OPERATIONAL = 1
 EXIT_MISMATCH = 2
 
 
+def _check_context(m: int, p: int, t: int) -> None:
+    """W(2m-1, p^t) needs an odd prime p, m >= 2 and t >= 1."""
+    dimensions.require_odd_prime(p)
+    if m < 2:
+        raise RangeError("m >= 2")
+    if t < 1:
+        raise RangeError("t >= 1")
+
+
 @dataclass
 class VerifyJob:
     m: int
@@ -38,10 +47,7 @@ class VerifyJob:
     max_cells: int = DEFAULT_CELL_CAP
 
     def __post_init__(self):
-        if self.m < 2:
-            raise RangeError("m >= 2")
-        if self.t < 1:
-            raise RangeError("t >= 1")
+        _check_context(self.m, self.p, self.t)
         if not 1 <= self.r <= 2 * self.m - 1:
             raise RangeError(f"r={self.r} outside [1, {2 * self.m - 1}]")
 
@@ -120,6 +126,8 @@ def cmd_verify(job: VerifyJob) -> tuple[dict, int]:
 
 
 def cmd_table(m: int, p_list, t_max: int) -> dict:
+    if t_max < 1:
+        raise RangeError(f"--t-max {t_max}: the table needs t_max >= 1")
     t_values = list(range(1, t_max + 1))
     columns = []
     if m == 2:
@@ -193,7 +201,9 @@ def cmd_rank(path: str) -> dict:
 def cmd_formula(m: int, p: int, t: int, r: int, all_t: int | None = None) -> dict:
     report = RankReport(m, p, t, r, mode="formula-only")
     report.formula_rank = dimensions.rank_point_flat(m, p, t, r)
-    if all_t:
+    if all_t is not None:
+        if all_t < 1:
+            raise RangeError(f"--all-t {all_t}: list t = 1..N needs N >= 1")
         all_ranks = [dimensions.rank_point_flat(m, p, tt, r) for tt in range(1, all_t + 1)]
         with _any_int_digits():
             report.notes.append("ranks for t=1..%d: %s" % (all_t, all_ranks))
@@ -213,9 +223,14 @@ def cmd_dmatrix(m: int, p: int) -> dict:
     }
 
 
-def cmd_posets(m: int, p: int, t: int, d: int = 0) -> dict:
+def cmd_posets(m: int, p: int, t: int, d: int = 0, dot: str | None = None):
+    """H, H[d] and S[d] as a document, or with dot = 'h' or 's' the DOT
+    source of that poset's Hasse diagram."""
     from . import posets
 
+    _check_context(m, p, t)
+    if dot:
+        return posets.hasse_dot(m, p, t, d, dot)
     h = posets.enumerate_H(m, p, t)
     hd = posets.enumerate_H_d(m, p, t, d)
     s = posets.enumerate_S(m, p, t, d)
@@ -333,12 +348,8 @@ def main(argv=None) -> int:
             doc = cmd_formula(args.m, args.p, args.t, args.r, args.all_t)
         elif args.command == "dmatrix":
             doc = cmd_dmatrix(args.m, args.p)
-        elif args.command == "posets" and args.dot:
-            from . import posets
-
-            doc = posets.hasse_dot(args.m, args.p, args.t, args.d, args.dot)
         elif args.command == "posets":
-            doc = cmd_posets(args.m, args.p, args.t, args.d)
+            doc = cmd_posets(args.m, args.p, args.t, args.d, args.dot)
         elif args.command == "lab":
             doc, code = cmd_lab_verify(args.m, args.p, args.t)
         _emit(doc, args.out, fmt)

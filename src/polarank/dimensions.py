@@ -28,7 +28,7 @@ from .gf import is_prime
 from .posets import HType, SignedHType, ideal_below, signed_ideal_below
 
 
-def _require_odd_prime(p: int) -> None:
+def require_odd_prime(p: int) -> None:
     if not is_prime(p):
         raise CompositeP(f"p={p} is not prime")
     if p == 2:
@@ -235,7 +235,7 @@ def build_D_matrix(m: int, p: int, r: int = None) -> DMatrix:
     A[i][j] = d_{p*j - i} for 1 <= i, j <= 2m-r (0 outside the table), except
     that for r = m the (m, m) corner is dim S+.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if m < 2:
         raise RangeError("m >= 2")
     r = m if r is None else r
@@ -262,7 +262,7 @@ def rank_W3_closed_form(p: int, t: int) -> int:
     """
     if p == 2:
         raise UnsupportedCharacteristic("use rank_W3_char2")
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if t < 1:
         raise RangeError("t must be positive")
     d = build_D_matrix(2, p)

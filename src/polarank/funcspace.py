@@ -212,72 +212,54 @@ def reduce_and_multiply(f: FunctionOnV, g: FunctionOnV) -> FunctionOnV:
 # -- the symplectic group and its action ---------------------------------------
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """A symplectic matrix over GF(q); rows/cols in coordinate order."""
+    """A symplectic matrix over GF(q): `matrix` is a read-only (2m, 2m) code
+    array, rows and columns in coordinate order."""
 
-    space: FunctionSpace
-    matrix: tuple
-
-    def __post_init__(self):
-        n = self.space.nvars
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise NotSymplectic(f"matrix must be {n}x{n}")
-        if not _preserves_form(self.space, self.matrix):
+    def __init__(self, space: FunctionSpace, matrix):
+        n, q = space.nvars, space.q
+        try:
+            a = np.array(matrix)
+        except ValueError:  # ragged rows
+            a = None
+        if a is None or a.shape != (n, n) or a.dtype.kind not in "iu":
+            raise NotSymplectic(f"matrix must be a {n}x{n} array of field codes")
+        if a.min() < 0 or a.max() >= q:
+            raise RangeError(f"matrix entries must be GF({q}) codes in [0, {q - 1}]")
+        self.space = space
+        self.matrix = a.astype(space.field.dtype)
+        self.matrix.flags.writeable = False
+        if not _preserves_form(space, self.matrix):
             raise NotSymplectic("matrix does not preserve the alternating form")
 
     @staticmethod
     def identity(space) -> "GroupElement":
-        n = space.nvars
-        return GroupElement(
-            space, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        return GroupElement(space, np.eye(space.nvars, dtype=space.field.dtype))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.space != other.space:
             raise ContextMismatch("group elements from different contexts")
-        fld = self.space.field
-        n = self.space.nvars
-        a, b = self.matrix, other.matrix
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    if a[i][k] and b[k][j]:
-                        acc = fld.add(acc, fld.mul(a[i][k], b[k][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return GroupElement(self.space, tuple(rows))
+        return GroupElement(self.space, linalg.matmul(self.space.field, self.matrix, other.matrix))
 
 
-def _preserves_form(space: FunctionSpace, matrix) -> bool:
-    """<M e_i, M e_j> = <e_i, e_j> for all i < j; M e_i is column i."""
-    geo, n = space.symplectic, space.nvars
-    cols = list(zip(*matrix))
-    return all(
-        geo.form_code(cols[i], cols[j]) == geo.form_code(geo.basis_vector(i), geo.basis_vector(j))
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+def _preserves_form(space: FunctionSpace, matrix: np.ndarray) -> bool:
+    """<M e_i, M e_j> = <e_i, e_j> for all i, j, one Gram matrix comparison;
+    M e_i is column i of M."""
+    geo = space.symplectic
+    gram = linalg.matmul(space.field, geo.form_gradient(matrix.T), matrix)
+    return np.array_equal(gram, geo.form_gradient(np.eye(space.nvars, dtype=matrix.dtype)))
 
 
 def symplectic_transvection(space: FunctionSpace, v, mu_code: int) -> GroupElement:
-    """T_v(mu): x -> x + mu <x, v> v."""
-    fld = space.field
-    n = space.nvars
-    grad = space.symplectic.form_gradient(v).tolist()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = 1 if i == j else 0
-            if v[i] and grad[j]:
-                entry = fld.add(entry, fld.mul(mu_code, fld.mul(v[i], grad[j])))
-            row.append(entry)
-        rows.append(tuple(row))
-    return GroupElement(space, tuple(rows))
+    """T_v(mu): x -> x + mu <x, v> v, the matrix I + v (mu v.G)."""
+    fld, n = space.field, space.nvars
+    v = np.array(v)
+    if (v.shape != (n,) or v.dtype.kind not in "iu" or v.min() < 0 or v.max() >= fld.q
+            or not 0 <= mu_code < fld.q):
+        raise RangeError(f"T_v(mu) needs v a length-{n} code vector and mu a GF({fld.q}) code")
+    add_t, mul_t = fld.np_tables()[:2]
+    outer = linalg.matmul(fld, v[:, None], mul_t[mu_code, space.symplectic.form_gradient(v)][None])
+    return GroupElement(space, add_t[np.eye(n, dtype=fld.dtype), outer])
 
 
 def transvection_x(space: FunctionSpace, mu_code: int) -> GroupElement:
@@ -337,7 +319,7 @@ def act(g: GroupElement, f: FunctionOnV) -> FunctionOnV:
     sp = f.space
     fld = sp.field
     n = sp.nvars
-    mat = g.matrix
+    mat = g.matrix.tolist()
     # column i of the matrix is the linear form substituted for coordinate i
     columns = []
     for i in range(n):
@@ -712,10 +694,6 @@ class SymplecticBasisFunction:
             total = new
         return FunctionOnV(sp, total)
 
-    @property
-    def signature(self) -> frozenset:
-        return self.stype.eps
-
 
 def _mono_digit_options(space, lam_j):
     m, cap = space.m, space.p - 1
@@ -808,6 +786,19 @@ def char_function(space: FunctionSpace, sub) -> FunctionOnV:
     return out
 
 
+def symplectic_basis_matrix(space: FunctionSpace, lam) -> tuple[dict, np.ndarray]:
+    """(index, A) for the symplectic basis of type lambda: index numbers the
+    monomials its functions expand into, in sorted order, and column k of the
+    code matrix A holds the coefficients of basis function k."""
+    expanded = [b.expand().coeffs for b in symplectic_basis(space, lam)]
+    index = {e: i for i, e in enumerate(sorted({e for coeffs in expanded for e in coeffs}))}
+    a = np.zeros((len(index), len(expanded)), dtype=space.field.dtype)
+    for k, coeffs in enumerate(expanded):
+        for e, c in coeffs.items():
+            a[index[e], k] = c
+    return index, a
+
+
 def expand_in_symplectic_basis(f: FunctionOnV) -> list:
     """Exact expansion of f as [(code, SymplecticBasisFunction), ...]."""
     sp = f.space
@@ -818,13 +809,8 @@ def expand_in_symplectic_basis(f: FunctionOnV) -> list:
     out = []
     for lam, block in sorted(by_type.items()):
         basis = symplectic_basis(sp, lam)
-        monos = sorted({e for b in basis for e in b.expand().coeffs})
-        index = {e: i for i, e in enumerate(monos)}
-        a = np.zeros((len(monos), len(basis)), dtype=fld.dtype)
-        for kcol, b in enumerate(basis):
-            for e, c in b.expand().coeffs.items():
-                a[index[e], kcol] = c
-        rhs = np.zeros(len(monos), dtype=a.dtype)
+        index, a = symplectic_basis_matrix(sp, lam)
+        rhs = np.zeros(len(index), dtype=a.dtype)
         for e, c in block.items():
             rhs[index[e]] = c
         sol = linalg.solve(fld, a, rhs)

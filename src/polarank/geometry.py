@@ -82,12 +82,7 @@ class SymplecticSpace:
     def form_code(self, u, v) -> int:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch(f"vectors must have length {self.dim}")
-        add, mul = self.field.add, self.field.mul
-        acc = 0
-        for g, vc in zip(self.form_gradient(u).tolist(), v):
-            if g and vc:
-                acc = add(acc, mul(g, vc))
-        return acc
+        return int(linalg.matmul(self.field, self.form_gradient([u]), np.array(v)[:, None])[0, 0])
 
     def basis_vector(self, i: int) -> tuple:
         v = [0] * self.dim
@@ -137,26 +132,26 @@ def _echelon_codes(space: SymplecticSpace, r: int, isotropic: bool) -> np.ndarra
     with every value of the new row's free entries and, for isotropic flats,
     keeps the pairs whose new row is orthogonal to every earlier row.
     """
-    n, q = space.dim, space.q
-    add_t, mul_t = space.field.np_tables()[:2]
+    n, q, dtype = space.dim, space.q, space.field.dtype
     found = []
     for pivots in itertools.combinations(range(n), r):
-        partial = np.zeros((1, 0, n), dtype=add_t.dtype)
+        partial = np.zeros((1, 0, n), dtype=dtype)
         for i, piv in enumerate(pivots):
             free = [c for c in range(piv + 1, n) if c not in pivots]
-            rows = np.zeros((q ** len(free), n), dtype=add_t.dtype)
+            rows = np.zeros((q ** len(free), n), dtype=dtype)
             rows[:, piv] = 1
-            values = np.indices((q,) * len(free), dtype=add_t.dtype)
+            values = np.indices((q,) * len(free), dtype=dtype)
             rows[:, free] = values.reshape(len(free), len(rows)).T
             step = max(1, CHUNK_CANDIDATES // len(rows))
             grown = []
             for part in np.array_split(partial, len(partial) // step + 1):
                 keep = np.ones((len(part), len(rows)), dtype=bool)
                 if isotropic and i:
-                    grads = space.form_gradient(part)[:, None, :, :]
-                    form = np.zeros((len(part), len(rows), i), dtype=add_t.dtype)
-                    for c in (piv, *free):
-                        form = add_t[form, mul_t[grads[..., c], rows[None, :, None, c]]]
+                    # the new row is zero outside (piv, *free): <part row, new row>
+                    # sums over those columns only
+                    cols = [piv, *free]
+                    grads = space.form_gradient(part)[..., cols].swapaxes(1, 2)
+                    form = linalg.matmul(space.field, rows[:, cols], grads)
                     keep = ~form.any(axis=2)
                 pi, ri = np.nonzero(keep)
                 grown.append(np.concatenate([part[pi], rows[ri, None]], axis=1))

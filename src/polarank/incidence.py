@@ -4,9 +4,9 @@ Row order is flat enumeration order and column order is point enumeration
 order; both are canonical, so files serialize byte for byte reproducibly.
 A matrix is a CSR pair of np.intp arrays: row i is the sorted column indices
 indices[indptr[i]:indptr[i+1]].  `incidence_from_flats` is the one builder:
-the points of a flat code stack are table gathers over the RREF generators,
-each point's column comes from its coordinates by arithmetic, and every
-flat's sorted columns go into one preallocated index array.
+the points of a flat code stack are one GF(q) product over the RREF
+generators, each point's column comes from its coordinates by arithmetic,
+and every flat's sorted columns go into one preallocated index array.
 
 File format (UTF-8 text):
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, linalg
 from .errors import FormatError, InvariantError, IoError, RangeError
 from .gf import is_prime
 
@@ -109,7 +109,7 @@ def _normalized_coeffs(q: int, r: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, r)
 
 
-# points per chunk of flats: bounds the intp temporaries of the table gathers
+# points per chunk of flats: bounds the intp temporaries of the GF(q) product
 CHUNK_POINTS = 1 << 12
 
 
@@ -120,7 +120,7 @@ def incidence_from_flats(space, gens) -> SparseIncidenceMatrix:
     as the enumerations return it.  With G a flat's RREF and c a normalized
     coefficient vector, c.G is already a normalized point: G is the identity
     at its pivot columns and zero before each pivot.  So the points of every
-    flat are r table gathers over a (flats x coeffs x 2m) code array, and the
+    flat are one GF(q) product, a (flats x coeffs x 2m) code array, and the
     column of a point with leading 1 at L and base-q tail value v is
     (q^(2m-1-L) - 1)/(q - 1) + v, its row in `enumerate_points`.
     """
@@ -133,7 +133,6 @@ def incidence_from_flats(space, gens) -> SparseIncidenceMatrix:
     if (gens is None or gens.ndim != 3 or gens.shape[1] < 1 or gens.shape[2] != n
             or gens.dtype.kind not in "iu" or gens.min(initial=0) < 0 or gens.max(initial=0) >= q):
         raise RangeError(f"flats must be one (N, r, {n}) stack of GF({q}) codes")
-    add_t, mul_t = space.field.np_tables()[:2]
     coeffs = _normalized_coeffs(q, gens.shape[1])
     weight = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # a normalized point has weight . coords = q^(n-1-L) + v
@@ -141,10 +140,7 @@ def incidence_from_flats(space, gens) -> SparseIncidenceMatrix:
     indices = np.empty((len(gens), len(coeffs)), dtype=np.intp)
     step = max(1, CHUNK_POINTS // len(coeffs))
     for lo in range(0, len(gens), step):
-        chunk = gens[lo:lo + step]
-        pts = np.zeros((len(chunk), len(coeffs), n), dtype=add_t.dtype)
-        for k in range(gens.shape[1]):
-            pts = add_t[pts, mul_t[coeffs[None, :, k, None], chunk[:, None, k, :]]]
+        pts = linalg.matmul(space.field, coeffs[None], gens[lo:lo + step])
         lead = np.argmax(pts != 0, axis=2)
         index = indices[lo:lo + step]
         index[...] = pts @ weight + offset[lead]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from . import dimensions, funcspace as fs
+from . import dimensions, funcspace as fs, linalg
 from .errors import RangeError
 from .gf import build_field
 from .posets import h_type_from_lambda
@@ -186,8 +186,6 @@ def tau_check(m, p) -> dict:
 
 def basis_span_check(space, lam_list=None) -> dict:
     """Per type: symplectic basis count, independence, and signature split."""
-    import numpy as np
-
     from .ranks import rank_mod_p
 
     m, p, t = space.m, space.p, space.t
@@ -204,16 +202,8 @@ def basis_span_check(space, lam_list=None) -> dict:
             expect *= table[l]
         ok = len(basis) == expect
         if ok and expect:
-            monos = sorted({e for b in basis for e in b.expand().coeffs})
-            mat = np.zeros((len(monos), len(basis)), dtype=np.int64)
-            index = {e: i for i, e in enumerate(monos)}
-            prime_field = True
-            for k, b in enumerate(basis):
-                for e, c in b.expand().coeffs.items():
-                    if c >= p:
-                        prime_field = False
-                    mat[index[e], k] = c
-            ok = prime_field and len(monos) == expect and rank_mod_p(mat, p) == expect
+            index, mat = fs.symplectic_basis_matrix(space, lam)
+            ok = not (mat >= p).any() and len(index) == expect and rank_mod_p(mat, p) == expect
         if ok:
             h = h_type_from_lambda(fs.type_of_lambda(space, lam))
             for j in h.j_set():
@@ -276,16 +266,7 @@ def action_check(space, trials=100, seed=0) -> dict:
         if exhaustive:
             cases += 1
             lhs = fs.act(g, f).evaluate_all()
-            mt = g.matrix
-            n = space.nvars
-            add_t, mul_t = space.field.np_tables()[:2]
-            transformed = np.zeros_like(vectors)
-            for i in range(n):
-                acc = np.zeros(len(vectors), dtype=vectors.dtype)
-                for jj in range(n):
-                    if mt[jj][i]:
-                        acc = add_t[acc, mul_t[mt[jj][i], vectors[:, jj]]]
-                transformed[:, i] = acc
+            transformed = linalg.matmul(space.field, vectors, g.matrix)
             if not np.array_equal(lhs, f.evaluate_all()[transformed @ place]):
                 failures.append({"kind": "pointwise"})
     return _result("group-action", cases, failures)

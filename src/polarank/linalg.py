@@ -1,19 +1,21 @@
-"""Dense exact linear algebra over GF(q) via lookup-table elimination.
+"""Dense exact linear algebra over GF(q) via lookup-table gathers.
 
 Matrices are numpy arrays of field codes.  Row operations are table gathers
 (add[M, mul[c, row]]), so elimination runs at numpy speed while staying exact.
-One Gauss-Jordan loop, ``rref_stack``, reduces a whole stack (B, k, n) of
-matrices at once, one column step for all items; the 2-D calls are that loop
-on a stack of one.  Stacks reach about a million small items (the perps of
-every isotropic flat), single matrices a few hundred rows (the function-space
-lab); the large GF(p) rank kernel lives in ranks.py.
+There is one Gauss-Jordan loop and one matrix product.  ``rref_stack``
+reduces a whole stack (B, k, n) of matrices at once, one column step for all
+items; the 2-D calls are that loop on a stack of one.  ``matmul`` is every
+GF(q) product in the package, from points c.G of flats and isotropy tests to
+products of symplectic matrices.  Stacks reach about a million small items
+(the perps of every isotropic flat), single matrices a few hundred rows (the
+function-space lab); the large GF(p) rank kernel lives in ranks.py.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import DimensionMismatch, InvariantError
 from .gf import FieldSpec
 
 
@@ -22,6 +24,26 @@ def as_code_matrix(field: FieldSpec, rows) -> np.ndarray:
     if a.ndim == 1:
         a = a.reshape(1, -1)
     return a
+
+
+def matmul(field: FieldSpec, a, b) -> np.ndarray:
+    """a @ b over GF(q) for code arrays (..., i, k) and (..., k, j).
+
+    The leading axes broadcast as in numpy's matmul.  The product is one
+    table gather per inner index k, so it costs k passes over the output.
+    """
+    add_t, mul_t = field.np_tables()[:2]
+    a, b = np.asarray(a), np.asarray(b)
+    try:
+        lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:  # the leading axes do not broadcast
+        lead = None
+    if lead is None or a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
+    out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=field.dtype)
+    for k in range(a.shape[-1]):
+        out = add_t[out, mul_t[a[..., :, k, None], b[..., None, k, :]]]
+    return out
 
 
 def rref_stack(field: FieldSpec, stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

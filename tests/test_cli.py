@@ -200,11 +200,24 @@ def test_out_file(tmp_path, capsys):
         ["--bogus"],
         ["verify", "--m", "two", "--p", "3", "--t", "1", "--r", "2"],
         ["verify", "--m", "2", "--p", "3", "--t", "1", "--r", "2", "--force"],
+        ["posets", "--m", "2", "--p", "3", "--t", "-1"],
+        ["posets", "--m", "2", "--p", "4", "--t", "1"],
+        ["posets", "--m", "2", "--p", "2", "--t", "1"],
+        ["posets", "--m", "1", "--p", "3", "--t", "1"],
+        ["posets", "--m", "2", "--p", "4", "--t", "1", "--dot", "h"],
+        ["formula", "--m", "2", "--p", "3", "--t", "1", "--r", "2", "--all-t", "-3"],
+        ["formula", "--m", "2", "--p", "3", "--t", "1", "--r", "2", "--all-t", "0"],
+        ["table", "--m", "2", "--p", "3", "--t-max", "-1"],
+        ["table", "--m", "2", "--p", "3", "--t-max", "0"],
     ],
-    ids=["bogus", "m-two", "removed-force"],
+    ids=[
+        "bogus", "m-two", "removed-force", "posets-t-negative", "posets-p-composite",
+        "posets-p-2", "posets-m-1", "posets-dot-p-composite", "all-t-negative", "all-t-0",
+        "t-max-negative", "t-max-0",
+    ],
 )
 def test_usage_errors_exit_1(capsys, argv):
-    # exit code 2 is a formula/oracle mismatch, never a usage error
+    # exit code 2 is a formula/oracle mismatch, never a usage or range error
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")

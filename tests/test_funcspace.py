@@ -80,6 +80,22 @@ def test_not_symplectic_rejected(sp9):
     bad[0][0] = 2  # x1 -> 2 x1 alone does not preserve <e1, f1>
     with pytest.raises(NotSymplectic):
         fs.GroupElement(sp9, tuple(tuple(r) for r in bad))
+    bad[0][0] = 9  # not a GF(9) code
+    with pytest.raises(RangeError):
+        fs.GroupElement(sp9, bad)
+    bad[0][0] = -1
+    with pytest.raises(RangeError):
+        fs.GroupElement(sp9, bad)
+    for shape in ([[1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0, 1]], np.eye(3, dtype=int), [[0.5] * 4] * 4):
+        with pytest.raises(NotSymplectic):
+            fs.GroupElement(sp9, shape)
+    with pytest.raises(RangeError):
+        fs.symplectic_transvection(sp9, (9, 0, 0, 0), 1)
+    with pytest.raises(RangeError):
+        fs.symplectic_transvection(sp9, (1, 0, 0, 0), 9)
+    identity = fs.GroupElement.identity(sp9)
+    with pytest.raises(ValueError):
+        identity.matrix[0, 0] = 2  # read-only: a checked matrix stays symplectic
 
 
 def test_action_multiplicative_and_pointwise(sp9):

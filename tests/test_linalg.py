@@ -1,11 +1,13 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polarank import linalg
+from polarank.errors import DimensionMismatch
 from polarank.gf import build_field
 
 FIELDS = {3: (3, 1), 9: (3, 2), 25: (5, 2)}
@@ -111,3 +113,43 @@ def test_rref_stack_matches_scalar_reference(q, shape, data):
         assert r == len(piv)
         assert red[b, :r].tolist() == rows and not red[b, r:].any()
         assert pivots[b, :r].tolist() == piv and (pivots[b, r:] == n).all()
+
+
+# (a, b) shapes of the callers' products, over dims (d0, d1, d2, d3): the
+# points c.G of a chunk of flats, isotropy tests of candidate rows (both
+# stackings), vectors times a group element, and a transvection's v (x) grad
+MATMUL_SHAPES = [
+    lambda d: ((1, d[0], d[1]), (d[2], d[1], d[3])),
+    lambda d: ((d[0], 1, d[1], d[2]), (1, d[3], d[2], 1)),
+    lambda d: ((d[0], d[1]), (d[2], d[1], d[3])),
+    lambda d: ((d[0], d[1]), (d[1], d[1])),
+    lambda d: ((d[0], 1), (1, d[0])),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from(sorted(FIELDS)),
+    shapes=st.sampled_from(MATMUL_SHAPES),
+    dims=st.tuples(*[st.integers(0, 4)] * 4),
+    data=st.data(),
+)
+def test_matmul_matches_scalar_reference(q, shapes, dims, data):
+    f = build_field(*FIELDS[q])
+    sa, sb = shapes(dims)
+    a = data.draw(arrays(np.uint8, sa, elements=st.integers(0, q - 1)))
+    b = data.draw(arrays(np.uint8, sb, elements=st.integers(0, q - 1)))
+    got = linalg.matmul(f, a, b)
+    lead = np.broadcast_shapes(sa[:-2], sb[:-2])
+    assert got.shape == lead + (sa[-2], sb[-1]) and got.dtype == f.dtype
+    a, b = np.broadcast_to(a, lead + sa[-2:]), np.broadcast_to(b, lead + sb[-2:])
+    for idx in np.ndindex(*lead):
+        # row i of a @ b is b^T applied to row i of a
+        assert got[idx].tolist() == [apply(f, b[idx].T, row) for row in a[idx]]
+
+
+def test_matmul_rejects_mismatched_shapes():
+    f = build_field(3, 1)
+    for a, b in (((2, 3), (2, 3)), ((2, 2, 3), (3, 3, 1)), ((3,), (3, 1))):
+        with pytest.raises(DimensionMismatch):
+            linalg.matmul(f, np.zeros(a, dtype=np.uint8), np.zeros(b, dtype=np.uint8))
