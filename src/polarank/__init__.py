@@ -3,7 +3,9 @@
 Three independent pillars, cross-validated against each other:
 
 * a geometry oracle: build W(2m-1, q), assemble the 0/1 incidence matrices,
-  and row-reduce them over GF(p) exactly (`geometry`, `incidence`, `ranks`);
+  and take their exact GF(p) rank as a sum over the weight spaces of the
+  diagonal torus (`geometry`, `incidence`, `torus`), with a dense
+  row-reduction of the whole matrix as the independent check (`ranks`);
 * a formula engine: digit-type posets, signed ideals, dimension tables, and
   the transfer-matrix / recurrence closed forms (`posets`, `dimensions`);
 * a function-space laboratory on k[V] that machine-checks the operator

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: verify, table, export, rank, formula, dmatrix, posets,
-lab verify-lemmas.  Exit codes: 0 success (and, for verify, formula/oracle
-match); 2 a scientific mismatch between formula and oracle; 1 operational
-errors, usage errors included.  A mismatch never masquerades as an
-operational failure.
+lab verify-lemmas.  `verify` checks the formula against the torus-weight
+oracle (`torus`); `rank <file>` runs the dense GF(p) kernel (`ranks`).
+Exit codes: 0 success (and, for verify, formula/oracle match); 2 a
+scientific mismatch between formula and oracle; 1 operational errors,
+usage errors included.  A mismatch never masquerades as an operational
+failure.
 """
 
 from __future__ import annotations
@@ -103,25 +105,25 @@ def _table_csv(doc: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _build_matrix(job: VerifyJob):
-    space = geometry.SymplecticSpace(job.m, build_field(job.p, job.t))
-    return incidence.build_incidence(space, job.r)
+def _space(job: VerifyJob) -> geometry.SymplecticSpace:
+    return geometry.SymplecticSpace(job.m, build_field(job.p, job.t))
 
 
 def cmd_verify(job: VerifyJob) -> tuple[dict, int]:
+    """The formula against the torus-weight oracle."""
+    from . import torus  # on use, like posets and labchecks: `import polarank.cli` stays cheap
+
     report = RankReport(job.m, job.p, job.t, job.r)
     timer = Timer()
     report.formula_rank = dimensions.rank_point_flat(job.m, job.p, job.t, job.r)
     report.timings["formula_s"] = timer.elapsed()
     job.check_cap()
-    timer = Timer()
-    mat = _build_matrix(job)
-    report.timings["build_s"] = timer.elapsed()
-    timer = Timer()
-    report.oracle_rank = ranks.rank_mod_p(mat)
-    report.timings["rank_s"] = timer.elapsed()
+    oracle = torus.torus_rank(_space(job), job.r)
+    report.oracle_rank = oracle.rank
+    report.timings.update(oracle.timings)
     doc = report.finalize().to_json()
     doc["field"] = field_descriptor(job.p, job.t)
+    doc["oracle"] = oracle.oracle_block()
     return doc, EXIT_OK if report.match else EXIT_MISMATCH
 
 
@@ -152,7 +154,7 @@ def cmd_table(m: int, p_list, t_max: int) -> dict:
 
 def cmd_export(job: VerifyJob, path: str, fmt: str = "v1") -> dict:
     job.check_cap()
-    mat = _build_matrix(job)
+    mat = incidence.build_incidence(_space(job), job.r)
     if fmt == "mm":
         incidence.write_matrix_market(mat, path)
     else:
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp_verify = sub.add_parser("verify", help="cross-validate formula against the matrix oracle")
+    sp_verify = sub.add_parser("verify", help="cross-validate formula against the torus-weight oracle")
     _add_common(sp_verify, "m", "p", "t", "r")
     sp_verify.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP, help="cell cap of the matrix build")
 

@@ -95,6 +95,12 @@ class FunctionSpace:
         return f"FunctionSpace(m={self.m}, q={self.q})"
 
 
+def _check_code(space: FunctionSpace, code) -> None:
+    """The field's scalar tables take no range check, so a scaling checks its code once."""
+    if not 0 <= code < space.q:
+        raise RangeError(f"scalar {code} is not a GF({space.q}) code")
+
+
 class FunctionOnV:
     """A k-valued function on V as a sparse monomial coefficient vector."""
 
@@ -139,6 +145,7 @@ class FunctionOnV:
         return self + other.scale(self.space.field.neg(1))
 
     def scale(self, code: int) -> "FunctionOnV":
+        _check_code(self.space, code)
         mul = self.space.field.mul
         if code == 0:
             return FunctionOnV.zero(self.space)
@@ -405,6 +412,7 @@ class PlaneOperator:
         return self._plus(other, self.space.field.neg(1))
 
     def scaled(self, code: int) -> "PlaneOperator":
+        _check_code(self.space, code)
         mul = self.space.field.mul
         # a field has no zero divisors, so only code 0 creates zero entries
         return PlaneOperator(

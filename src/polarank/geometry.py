@@ -103,10 +103,16 @@ class SymplecticSpace:
 
 def enumerate_points(space: SymplecticSpace) -> np.ndarray:
     """All points of PG(2m-1, q), normalized, as a sorted (N, 2m) code array."""
-    n = space.dim
-    vectors = np.indices((space.q,) * n, dtype=space.field.dtype).reshape(n, -1).T  # sorted
-    lead = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
-    return vectors[lead == 1]
+    n, q, dtype = space.dim, space.q, space.field.dtype
+    blocks = []
+    for lead in range(n - 1, -1, -1):  # the later the leading 1, the smaller the vector
+        k = n - 1 - lead
+        tail = np.indices((q,) * k, dtype=dtype).reshape(k, q**k).T
+        block = np.zeros((len(tail), n), dtype=dtype)
+        block[:, lead] = 1
+        block[:, lead + 1:] = tail
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 # -- canonical RREF enumeration ------------------------------------------------

@@ -109,6 +109,17 @@ def _normalized_coeffs(q: int, r: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, r)
 
 
+def point_columns(q: int, pts: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """The column of each normalized point of a (..., n) code array whose
+    leading 1 sits at position lead: with v the base-q value of the
+    coordinates after it, (q^(n-1-L) - 1)/(q - 1) + v, its row in
+    `enumerate_points`."""
+    weight = q ** np.arange(pts.shape[-1] - 1, -1, -1, dtype=np.int64)
+    # a normalized point has weight . coords = q^(n-1-L) + v
+    offset = (weight - 1) // (q - 1) - weight
+    return pts @ weight + offset[lead]
+
+
 # points per chunk of flats: bounds the intp temporaries of the GF(q) product
 CHUNK_POINTS = 1 << 12
 
@@ -120,9 +131,8 @@ def incidence_from_flats(space, gens) -> SparseIncidenceMatrix:
     as the enumerations return it.  With G a flat's RREF and c a normalized
     coefficient vector, c.G is already a normalized point: G is the identity
     at its pivot columns and zero before each pivot.  So the points of every
-    flat are one GF(q) product, a (flats x coeffs x 2m) code array, and the
-    column of a point with leading 1 at L and base-q tail value v is
-    (q^(2m-1-L) - 1)/(q - 1) + v, its row in `enumerate_points`.
+    flat are one GF(q) product, a (flats x coeffs x 2m) code array, and each
+    point's column follows from its coordinates (`point_columns`).
     """
     q, n = space.q, space.dim
     cols = geometry.point_count(space.m, q)
@@ -134,16 +144,13 @@ def incidence_from_flats(space, gens) -> SparseIncidenceMatrix:
             or gens.dtype.kind not in "iu" or gens.min(initial=0) < 0 or gens.max(initial=0) >= q):
         raise RangeError(f"flats must be one (N, r, {n}) stack of GF({q}) codes")
     coeffs = _normalized_coeffs(q, gens.shape[1])
-    weight = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # a normalized point has weight . coords = q^(n-1-L) + v
-    offset = (weight - 1) // (q - 1) - weight
     indices = np.empty((len(gens), len(coeffs)), dtype=np.intp)
     step = max(1, CHUNK_POINTS // len(coeffs))
     for lo in range(0, len(gens), step):
         pts = linalg.matmul(space.field, coeffs[None], gens[lo:lo + step])
         lead = np.argmax(pts != 0, axis=2)
         index = indices[lo:lo + step]
-        index[...] = pts @ weight + offset[lead]
+        index[...] = point_columns(q, pts, lead)
         index.sort(axis=1)
         normalized = np.take_along_axis(pts, lead[..., None], axis=2) == 1
         if not (normalized.all() and (index[:, 1:] > index[:, :-1]).all()):

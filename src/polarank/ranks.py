@@ -1,4 +1,8 @@
-"""Exact rank over GF(p): the brute-force oracle behind every formula check.
+"""Exact rank over GF(p) of a whole matrix: `rank <file>` and the cross-check.
+
+It answers `polarank rank <file>`, where the matrix has no known symmetry,
+and in the tests it checks the torus-weight oracle (`torus`) that `verify`
+uses, on every case it finishes in seconds.
 
 The kernel keeps a Gauss-Jordan-reduced row basis packed one residue per
 lane, with reduction mod p delayed until a lane could overflow.  The lane is

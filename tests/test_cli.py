@@ -30,7 +30,67 @@ def test_verify_match(capsys):
     assert code == 0
     assert doc["formula_rank"] == doc["oracle_rank"] == 25 and doc["match"] is True
     assert doc["field"]["modulus"] == [0, 1]
-    assert "rank_s" in doc["timings"]
+    assert set(doc["timings"]) == {"formula_s", "build_s", "orbit_s", "character_s", "rank_s"}
+    oracle = doc["oracle"]
+    assert (oracle["route"], oracle["torus_order"]) == ("torus-weight", 4)
+    assert sum(c["class_size"] * c["rank"] for c in oracle["classes"]) == 25
+
+
+def test_verify_headline_w327_lines(capsys):
+    code, doc = run_json(capsys, "verify", "--m", "2", "--p", "3", "--t", "3", "--r", "2")
+    assert code == 0 and doc["oracle_rank"] == doc["formula_rank"] == 8353
+    oracle = doc["oracle"]
+    assert (oracle["torus_order"], oracle["point_orbits"], oracle["flat_orbits"]) == (676, 72, 76)
+    assert len(oracle["classes"]) == 20
+    assert sum(c["class_size"] for c in oracle["classes"]) == 338
+    assert sum(c["class_size"] * c["rank"] for c in oracle["classes"]) == 8353
+
+
+def test_verify_runs_without_the_dense_kernel(capsys, monkeypatch):
+    from polarank import ranks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called the dense kernel")
+
+    monkeypatch.setattr(ranks, "rank_mod_p", refuse)
+    monkeypatch.setattr(ranks.DenseRowPacked, "insert", refuse)
+    code, doc = run_json(capsys, "verify", "--m", "3", "--p", "3", "--t", "1", "--r", "4")
+    assert code == 0 and doc["oracle_rank"] == 112
+
+
+def test_oracle_block_schema(capsys):
+    import copy
+
+    import jsonschema
+
+    _, doc = run_json(capsys, "verify", "--m", "2", "--p", "5", "--t", "1", "--r", "3")
+    broken = []
+    for path, value in [
+        (("route",), "dense"),
+        (("torus_order",), 0),
+        (("classes",), []),
+        (("classes", 0, "alpha"), [-1, 0]),
+        (("classes", 0, "extra"), 1),
+    ]:
+        bad = copy.deepcopy(doc)
+        owner = bad["oracle"]
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        broken.append(bad)
+    for key in ("classes", "point_orbits"):
+        bad = copy.deepcopy(doc)
+        del bad["oracle"][key]
+        broken.append(bad)
+    bad = copy.deepcopy(doc)
+    del bad["oracle"]  # a cross-validation always names its oracle
+    broken.append(bad)
+    bad = copy.deepcopy(doc)
+    bad["timings"]["rank_s"] = "fast"
+    broken.append(bad)
+    for bad in broken:
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(bad)
 
 
 def test_verify_perp_case_flags_note(capsys):

@@ -98,6 +98,20 @@ def test_not_symplectic_rejected(sp9):
         identity.matrix[0, 0] = 2  # read-only: a checked matrix stays symplectic
 
 
+def test_scalings_reject_codes_outside_the_field(sp9):
+    # the field's scalar tables are unchecked: mul(1, 9) at q = 9 reads 0
+    f = mono(sp9, (1, 2, 0, 3), coeff=4)
+    op = fs.PlaneOperator.identity(sp9)
+    for code in (9, -1, 100):
+        with pytest.raises(RangeError):
+            f.scale(code)
+        with pytest.raises(RangeError):
+            op.scaled(code)
+    assert f.scale(0) == fs.FunctionOnV.zero(sp9)
+    assert f.scale(8).coeffs == {(1, 2, 0, 3): sp9.field.mul(8, 4)}
+    assert op.scaled(8).apply(f) == f.scale(8)
+
+
 def test_action_multiplicative_and_pointwise(sp9):
     import numpy as np
 
