@@ -19,12 +19,15 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dimensions, geometry, incidence, ranks
 from .errors import InvariantError, PolarankError, RangeError, ResourceCapExceeded
 from .gf import build_field
 from .reports import RankReport, Timer, field_descriptor, library_version
 
 DEFAULT_CELL_CAP = 500_000_000  # admits the q = 27 job at ~4.2e8 cells
+BASIS_BYTE_CAP = 500_000_000  # bytes the dense kernel may hold for `rank <file>`
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
@@ -187,16 +190,29 @@ def cmd_export(job: VerifyJob, path: str, fmt: str = "v1") -> dict:
 
 def cmd_rank(path: str) -> dict:
     mat = incidence.read_matrix(path)
-    # the kernel's basis grows to at most min(rows, cols) rows of cols lanes
-    cells = min(mat.rows, mat.cols) * mat.cols
-    if cells > DEFAULT_CELL_CAP:
-        raise ResourceCapExceeded(f"{cells} basis cells exceed the cap {DEFAULT_CELL_CAP}")
+    # the kernel eliminates the orientation with min(rows, cols) columns: a basis
+    # of at most min(rows, cols)^2 lanes, plus 8 bytes of CSR pointer for each
+    # of its max(rows, cols) rows
+    lane = np.dtype(ranks.lane_dtype(mat.modulus)).itemsize
+    nbytes = min(mat.rows, mat.cols) ** 2 * lane + 8 * max(mat.rows, mat.cols)
+    if nbytes > BASIS_BYTE_CAP:
+        raise ResourceCapExceeded(
+            f"{nbytes} bytes of kernel basis and row pointers exceed the cap {BASIS_BYTE_CAP}"
+        )
+    acc = ranks.eliminate(mat)
     return {
         "report": "matrix-rank",
         "rows": mat.rows,
         "cols": mat.cols,
         "modulus": mat.modulus,
-        "rank": ranks.rank_mod_p(mat),
+        "rank": acc.rank,
+        "kernel": {
+            "transposed": acc.transposed,
+            "lane_bytes": lane,
+            "basis_bytes": acc.rank * acc.cols * lane,
+            "rows_seen": acc.rows_seen,
+            "rows_independent": acc.rank,
+        },
     }
 
 

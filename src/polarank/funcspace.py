@@ -53,6 +53,7 @@ class FunctionSpace:
         self.field = field
         self.p, self.t, self.q = field.p, field.t, field.q
         self.nvars = 2 * m
+        self.codes = frozenset(range(self.q))  # the field codes, also the exponent range
         # reduced[e] = reduce_exp(e) for every exponent sum e = 0..2q-2 of a product
         self.reduced = [self.reduce_exp(e) for e in range(2 * self.q - 1)]
         self._vectors = None
@@ -101,32 +102,45 @@ def _check_code(space: FunctionSpace, code) -> None:
         raise RangeError(f"scalar {code} is not a GF({space.q}) code")
 
 
+def _check_terms(space: FunctionSpace, terms: dict, width: int) -> None:
+    """Keys are exponent tuples of `width` entries in [0, q), values GF(q) codes.
+
+    The field's tables take no range check, so a stray code would later read
+    a wrong entry or raise a raw IndexError; construction checks it once.
+    """
+    codes, q = space.codes, space.q
+    if not codes.issuperset(terms.values()):
+        raise RangeError(f"coefficients must be GF({q}) codes in [0, {q - 1}]")
+    for e in terms:
+        if len(e) != width or not codes.issuperset(e):
+            raise RangeError(f"exponent tuple {e} needs {width} entries in [0, {q - 1}]")
+
+
 class FunctionOnV:
     """A k-valued function on V as a sparse monomial coefficient vector."""
 
     __slots__ = ("space", "coeffs")
 
-    def __init__(self, space: FunctionSpace, coeffs: dict):
+    def __init__(self, space: FunctionSpace, coeffs: dict, _trusted: bool = False):
+        # _trusted: terms computed from checked operands through the field's
+        # tables, valid by construction, so the hot loops skip the check
+        if not _trusted:
+            _check_terms(space, coeffs, space.nvars)
         self.space = space
         self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     @staticmethod
     def monomial(space, exps, coeff=1) -> "FunctionOnV":
         """Coefficient is a field code; use field.neg for signs."""
-        exps = tuple(exps)
-        if len(exps) != space.nvars or any(not 0 <= e < space.q for e in exps):
-            raise RangeError(f"bad exponent tuple {exps}")
-        if not 0 <= coeff < space.q:
-            raise RangeError(f"coefficient {coeff} is not a field code")
-        return FunctionOnV(space, {exps: coeff})
+        return FunctionOnV(space, {tuple(exps): coeff})
 
     @staticmethod
     def one(space) -> "FunctionOnV":
-        return FunctionOnV(space, {(0,) * space.nvars: 1})
+        return FunctionOnV(space, {(0,) * space.nvars: 1}, _trusted=True)
 
     @staticmethod
     def zero(space) -> "FunctionOnV":
-        return FunctionOnV(space, {})
+        return FunctionOnV(space, {}, _trusted=True)
 
     def _check(self, other):
         if self.space != other.space:
@@ -138,7 +152,7 @@ class FunctionOnV:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = add(out.get(e, 0), c)
-        return FunctionOnV(self.space, out)
+        return FunctionOnV(self.space, out, _trusted=True)
 
     def __sub__(self, other):
         self._check(other)
@@ -149,7 +163,9 @@ class FunctionOnV:
         mul = self.space.field.mul
         if code == 0:
             return FunctionOnV.zero(self.space)
-        return FunctionOnV(self.space, {e: mul(code, c) for e, c in self.coeffs.items()})
+        return FunctionOnV(
+            self.space, {e: mul(code, c) for e, c in self.coeffs.items()}, _trusted=True
+        )
 
     def __neg__(self):
         return self.scale(self.space.field.neg(1))
@@ -213,7 +229,7 @@ def reduce_and_multiply(f: FunctionOnV, g: FunctionOnV) -> FunctionOnV:
             c = mul(c1, c2)
             prev = out.get(e, 0)
             out[e] = add(prev, c)
-    return FunctionOnV(sp, out)
+    return FunctionOnV(sp, out, _trusted=True)
 
 
 # -- the symplectic group and its action ---------------------------------------
@@ -359,22 +375,28 @@ class PlaneOperator:
     """A linear operator on k[V] that moves only the (x_1, y_1) exponents.
 
     columns[a*q + b] is the image of x_1^a y_1^b as a sparse
-    {(a', b'): code} dict.  `apply` sends each monomial through the column
-    of its (x_1, y_1) exponents and leaves the middle exponents alone; sums,
-    scalings and products combine columns, and
+    {(a', b'): code} dict, checked at construction.  `apply` sends each
+    monomial through the column of its (x_1, y_1) exponents and leaves the
+    middle exponents alone; sums, scalings and products combine columns, and
     (A * B).apply(f) == A.apply(B.apply(f)).
     """
 
     __slots__ = ("space", "columns")
 
-    def __init__(self, space: FunctionSpace, columns: list):
+    def __init__(self, space: FunctionSpace, columns: list, _trusted: bool = False):
+        # _trusted: columns combined from checked operators, as for FunctionOnV
+        if not _trusted:
+            if len(columns) != space.q**2:
+                raise RangeError(f"a plane operator needs {space.q**2} columns, got {len(columns)}")
+            for col in columns:
+                _check_terms(space, col, 2)
         self.space = space
         self.columns = columns
 
     @staticmethod
     def identity(space) -> "PlaneOperator":
         q = space.q
-        return PlaneOperator(space, [{(a, b): 1} for a in range(q) for b in range(q)])
+        return PlaneOperator(space, [{(a, b): 1} for a in range(q) for b in range(q)], _trusted=True)
 
     def _check(self, other):
         if self.space != other.space:
@@ -391,7 +413,7 @@ class PlaneOperator:
                 for key, c2 in left[a * q + b].items():
                     acc[key] = add(acc.get(key, 0), mul(c, c2))
             out.append({key: c for key, c in acc.items() if c})
-        return PlaneOperator(self.space, out)
+        return PlaneOperator(self.space, out, _trusted=True)
 
     def _plus(self, other: "PlaneOperator", code: int) -> "PlaneOperator":
         """self + code * other."""
@@ -403,7 +425,7 @@ class PlaneOperator:
             for key, c in theirs.items():
                 acc[key] = add(acc.get(key, 0), mul(code, c))
             out.append({key: c for key, c in acc.items() if c})
-        return PlaneOperator(self.space, out)
+        return PlaneOperator(self.space, out, _trusted=True)
 
     def __add__(self, other: "PlaneOperator") -> "PlaneOperator":
         return self._plus(other, 1)
@@ -418,6 +440,7 @@ class PlaneOperator:
         return PlaneOperator(
             self.space,
             [{key: mul(code, c) for key, c in col.items()} if code else {} for col in self.columns],
+            _trusted=True,
         )
 
     def apply(self, f: FunctionOnV) -> FunctionOnV:
@@ -430,7 +453,7 @@ class PlaneOperator:
             for (a, b), c in self.columns[exps[0] * q + exps[-1]].items():
                 key = (a,) + middle + (b,)
                 out[key] = add(out.get(key, 0), mul(coeff, c))
-        return FunctionOnV(self.space, out)
+        return FunctionOnV(self.space, out, _trusted=True)
 
 
 def _shift_terms(space: FunctionSpace, ell: int, j: int, mirror: bool) -> PlaneOperator:

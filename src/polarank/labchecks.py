@@ -57,7 +57,8 @@ def shift_lemma_check(space, seed=0) -> dict:
             op = fs.shift_operator(space, ell, j)
             for exps in monos:
                 cases += 1
-                got = op.apply(fs.FunctionOnV(space, {exps: 1}))
+                # a monomial of the space's own enumeration: nothing to check
+                got = op.apply(fs.FunctionOnV(space, {exps: 1}, _trusted=True))
                 want = fs.shift_predicted(space, ell, j, exps)
                 prime_field = all(c < space.p for c in got.coeffs.values())
                 if got != want or not prime_field:
@@ -100,7 +101,7 @@ def digit_projector_check(space, seed=0) -> list:
                 op = fs.digit_projector(space, alpha, beta, j)
                 for exps in monos:
                     on_boundary = exps[0] == q - 1 or exps[-1] == q - 1
-                    f = fs.FunctionOnV(space, {exps: 1})
+                    f = fs.FunctionOnV(space, {exps: 1}, _trusted=True)
                     got = op.apply(f)
                     want = (
                         f

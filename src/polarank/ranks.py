@@ -11,12 +11,18 @@ per 64-bit word through numpy's vector ops) for p <= 15, then 16, 32 or 64
 bits.  Because every basis row is zero at all pivot columns except its own,
 an incoming row is reduced in a single pass over the pivot columns where it
 is nonzero; for sparse 0/1 incidence rows that is at most nnz(row) vector
-operations, which is what makes the 20440 x 20440 case tractable.  Memory is
-(current rank) x cols lanes.
+operations.  Since rank M = rank M^T, the kernel is fed whichever of the
+two has fewer columns, so memory is rank x min(rows, cols) lanes.
 
-`rank_mod_p` is the one entry point: it takes a SparseIncidenceMatrix or a
+Back-elimination leaves lanes in [0, (p-1)p].  Byte lanes (p <= 13) reduce
+them without integer division: x = min(x, x - k*p) for k = 2^j descending
+from the largest 2^j <= p-1, where the unsigned wrap keeps x when x < k*p.
+Wider lanes use numpy's %, which is faster there.
+
+`eliminate` is the one entry point: it takes a SparseIncidenceMatrix or a
 2-D integer array and feeds the kernel one dense row at a time; an
-incidence row is expanded from its CSR slice just before it is inserted.
+incidence row is expanded from its CSR slice just before it is inserted, and
+an empty one is skipped.  `rank_mod_p` returns its rank.
 
 Pivoting is first-nonzero, so results are deterministic.
 """
@@ -29,6 +35,15 @@ from .errors import RangeError
 from .gf import is_prime
 
 
+def lane_dtype(p: int) -> type:
+    """The narrowest unsigned lane that holds a reduced lane plus one
+    unreduced add: (p-1) + (p-1)^2."""
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if (p - 1) + (p - 1) ** 2 <= np.iinfo(dt).max:
+            return dt
+    raise RangeError(f"modulus {p} is too large for a 64-bit lane")
+
+
 class DenseRowPacked:
     """A growable Gauss-Jordan row basis over GF(p), byte-lane packed."""
 
@@ -37,20 +52,14 @@ class DenseRowPacked:
             raise RangeError(f"modulus {p} is not prime")
         self.p = p
         self.cols = cols
-        # a reduced lane is <= p-1; one unreduced add contributes (p-1)^2
-        lane_need = (p - 1) + (p - 1) ** 2
-        self.dtype = next(
-            (dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64)
-             if lane_need <= np.iinfo(dt).max),
-            None,
-        )
-        if self.dtype is None:
-            raise RangeError(f"modulus {p} is too large for a 64-bit lane")
+        self.dtype = lane_dtype(p)
         lane_max = np.iinfo(self.dtype).max
         self._adds_budget = max(1, (lane_max - (p - 1)) // max(1, (p - 1) ** 2))
         self._rows = np.zeros((capacity, cols), dtype=self.dtype)
         self._pivot_cols: list[int] = []
         self._pivot_arr = np.zeros(capacity, dtype=np.int64)
+        self.rows_seen = 0
+        self.transposed = False  # set by `eliminate`
 
     @property
     def rank(self) -> int:
@@ -69,6 +78,18 @@ class DenseRowPacked:
         piv[:cap] = self._pivot_arr
         self._pivot_arr = piv
 
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """Reduce lanes of at most (p-1) + (p-1)^2 = (p-1)p mod p, in place."""
+        if self.dtype is not np.uint8:
+            x %= self.p
+            return x
+        tmp = np.empty_like(x)
+        k = 1 << (self.p - 1).bit_length() - 1  # the largest 2^j <= p-1
+        while k:
+            np.minimum(x, np.subtract(x, self.dtype(k * self.p), out=tmp), out=x)
+            k >>= 1
+        return x
+
     def coerce_row(self, row) -> np.ndarray:
         a = np.asarray(row)
         if a.ndim != 1 or a.shape[0] != self.cols:
@@ -84,6 +105,7 @@ class DenseRowPacked:
         """
         p = self.p
         row = self.coerce_row(row)
+        self.rows_seen += 1
         r = self.rank
         if r:
             coeffs = row[self._pivot_arr[:r]]
@@ -108,8 +130,9 @@ class DenseRowPacked:
             col = self._rows[:r, c]
             hit = np.flatnonzero(col)
             if hit.size:
-                upd = np.outer(self.dtype(p) - col[hit], row)
-                self._rows[hit] = (self._rows[hit] + upd) % p
+                block = self._rows[hit]
+                block += np.outer(self.dtype(p) - col[hit], row)
+                self._rows[hit] = self.reduce(block)
         if r == self._rows.shape[0]:
             self._grow()
         self._rows[r] = row
@@ -124,27 +147,40 @@ def _dense_row(idx: np.ndarray, cols: int) -> np.ndarray:
     return row
 
 
-def rank_mod_p(mat, p: int | None = None) -> int:
-    """Rank over GF(p) of an incidence matrix or any 2-D integer matrix.
+def eliminate(mat, p: int | None = None) -> DenseRowPacked:
+    """The row basis over GF(p) of an incidence matrix or any 2-D integer
+    matrix, or of its transpose when that has fewer columns.
 
     A SparseIncidenceMatrix supplies its own modulus (unless p is given) and
     is fed to the kernel one dense row at a time, built from its CSR row, so
-    memory stays rank x cols lanes; for a plain array or nested list p is
-    required.
+    memory stays rank x min(rows, cols) lanes; for a plain array or nested
+    list p is required.
     """
-    if hasattr(mat, "indptr"):
-        n_rows, cols = mat.rows, mat.cols
+    sparse = hasattr(mat, "indptr")
+    if sparse:
         p = mat.modulus if p is None else p
-        rows = (_dense_row(mat.row(i), cols) for i in range(n_rows))
+    elif p is None:
+        raise RangeError("p required for plain arrays")
     else:
-        if p is None:
-            raise RangeError("p required for plain arrays")
-        rows = np.asarray(mat)
-        if rows.ndim != 2:
+        mat = np.asarray(mat)
+        if mat.ndim != 2:
             raise RangeError("expected a 2-D matrix")
-        n_rows, cols = rows.shape
+    n_rows, cols = (mat.rows, mat.cols) if sparse else mat.shape
+    transposed = cols > n_rows
+    if transposed:
+        mat, n_rows, cols = mat.transpose(), cols, n_rows
+    if sparse:  # an empty row is zero, so it cannot raise the rank: skip it
+        rows = (_dense_row(mat.row(i), cols) for i in np.flatnonzero(np.diff(mat.indptr)))
+    else:
+        rows = mat
     # start no larger than the rank can grow, so a short matrix allocates little
     acc = DenseRowPacked(int(cols), int(p), capacity=max(1, min(64, n_rows)))
+    acc.transposed = transposed
     for row in rows:
         acc.insert(row)
-    return acc.rank
+    return acc
+
+
+def rank_mod_p(mat, p: int | None = None) -> int:
+    """Rank over GF(p) of an incidence matrix or any 2-D integer matrix."""
+    return eliminate(mat, p).rank

@@ -77,7 +77,7 @@ def test_criterion_4_w327_lines_streaming():
     space = SymplecticSpace(2, build_field(3, 3))
     mat = build_incidence(space, 2)
     assert (mat.rows, mat.cols) == (20440, 20440)
-    oracle = rank_mod_p(mat)  # one dense row at a time: rank x cols lanes
+    oracle = rank_mod_p(mat)  # square, so no transpose: rank x 20440 byte lanes
     elapsed = time.perf_counter() - start
     ok = formula == oracle == 8353
     report(4, ok, f"W(3,27) formula {formula} streaming oracle {oracle} in {elapsed:.0f}s")

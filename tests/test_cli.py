@@ -3,6 +3,7 @@ import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from polarank import cli, gf
@@ -160,7 +161,52 @@ def test_rank_roundtrip(tmp_path, capsys):
         "cols": 40,
         "modulus": 3,
         "rank": 25,
+        "kernel": {
+            "transposed": False,
+            "lane_bytes": 1,
+            "basis_bytes": 25 * 40,
+            "rows_seen": 40,
+            "rows_independent": 25,
+        },
     }
+
+
+def _write_ones(path, rows, cols, modulus):
+    """A rows x cols file with a one on each diagonal position."""
+    from polarank.incidence import SparseIncidenceMatrix, write_matrix
+
+    k = min(rows, cols)
+    indptr = np.concatenate([np.arange(k + 1), np.full(rows - k, k)]).astype(np.intp)
+    write_matrix(SparseIncidenceMatrix(rows, cols, modulus, indptr, np.arange(k, dtype=np.intp)), path)
+    return str(path)
+
+
+def test_rank_cap_counts_lane_bytes_of_the_oriented_basis(tmp_path, capsys, monkeypatch):
+    # 5 x 5 byte lanes plus 8 bytes for each of the 120 oriented rows: 985 bytes
+    monkeypatch.setattr(cli, "BASIS_BYTE_CAP", 1000)
+    wide = _write_ones(tmp_path / "wide.mat", 5, 120, 3)  # the old cell count: 600
+    code, doc = run_json(capsys, "rank", wide)
+    assert code == 0 and doc["rank"] == 5
+    # the transpose has 120 rows, 115 of them empty and never fed
+    assert doc["kernel"] == {"transposed": True, "lane_bytes": 1, "basis_bytes": 25,
+                             "rows_seen": 5, "rows_independent": 5}
+    import jsonschema
+
+    for key, value in [("lane_bytes", 3), ("rows_seen", -1), ("transposed", 1), ("extra", 0)]:
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report({**doc, "kernel": {**doc["kernel"], key: value}})
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report({k: v for k, v in doc.items() if k != "kernel"})
+    for path, want in [
+        (_write_ones(tmp_path / "square.mat", 30, 30, 3), 30 * 30 + 8 * 30),
+        (_write_ones(tmp_path / "p17.mat", 24, 24, 17), 24 * 24 * 2 + 8 * 24),
+    ]:
+        assert cli.main(["rank", path]) == 1
+        err = capsys.readouterr().err
+        assert f"{want} bytes" in err and "cap 1000" in err, err
+    # the same 24 x 24 shape at p = 13 fits: one byte per lane
+    code, doc = run_json(capsys, "rank", _write_ones(tmp_path / "p13.mat", 24, 24, 13))
+    assert code == 0 and doc["kernel"]["lane_bytes"] == 1 and doc["rank"] == 24
 
 
 # sha256 of `export --m M --p P --t T --r R`, recorded when the format was fixed

@@ -24,8 +24,8 @@ def test_no_assert_invariants():
 
 
 # matrix files from outside: not UTF-8, a negative column count, an Arabic-Indic
-# digit, a 5000-digit header field, 2^62 columns (a kernel basis past the cell
-# cap), and a prime modulus too large for any kernel lane
+# digit, a 5000-digit header field, 2^62 columns (kernel row pointers past the
+# byte cap), and a prime modulus too large for any kernel lane
 MALFORMED_FILES = {
     "not-utf8": b"polar-rank-incidence v1\n1 2 3\n1 \xff\n",
     "negative-cols": b"polar-rank-incidence v1\n1 -5 3\n0\n",

@@ -169,6 +169,22 @@ def test_action_multiplicative_and_pointwise(sp9):
 # -- shift operators ---------------------------------------------------------------
 
 
+def test_constructors_reject_codes_outside_the_field(sp9):
+    # a stored code of 9 at q = 9 made `f + f` read past the add table
+    for coeffs in ({(1, 0, 0, 0): 9}, {(1, 0, 0, 0): -1}, {(1, 0, 0, 0): 2.5},
+                   {(9, 0, 0, 0): 1}, {(9, 0, 0, 0): 0}, {(1, 0, 0): 1}, {(1, 0, -1, 0): 1}):
+        with pytest.raises(RangeError):
+            fs.FunctionOnV(sp9, coeffs)
+    f = fs.FunctionOnV(sp9, {(1, 0, 0, 0): 8, (0, 1, 0, 0): 0})
+    assert (f + f).coeffs == {(1, 0, 0, 0): sp9.field.add(8, 8)}
+    identity = fs.PlaneOperator.identity(sp9).columns
+    for columns in (identity[:-1], [{(0, 0): 9}] + identity[1:], [{(0, 9): 1}] + identity[1:],
+                    [{(0, 0, 0): 1}] + identity[1:]):
+        with pytest.raises(RangeError):
+            fs.PlaneOperator(sp9, columns)
+    assert fs.PlaneOperator(sp9, list(identity)).apply(f) == f
+
+
 def test_shift_examples(sp9):
     x1 = mono(sp9, (1, 0, 0, 0))
     g1 = fs.shift_operator(sp9, 1, 0)

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from polarank.errors import RangeError
 from polarank.gf import build_field
 from polarank.geometry import SymplecticSpace
-from polarank.incidence import build_incidence
-from polarank.ranks import DenseRowPacked, rank_mod_p
+from polarank.incidence import SparseIncidenceMatrix, build_incidence
+from polarank.ranks import DenseRowPacked, eliminate, rank_mod_p
 
 
 def reference_rank(mat, p):
@@ -31,6 +31,25 @@ def reference_rank(mat, p):
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def direct_rank(rows, p):
+    """The kernel fed row by row in the given orientation: no transpose."""
+    rows = np.asarray(rows)
+    acc = DenseRowPacked(rows.shape[1], p)
+    for row in rows:
+        acc.insert(row)
+    return acc.rank
+
+
+def line_prefix(q_p, q_t, n):
+    """The first n lines of W(3, p^t), n x points (wide): CSR and dense 0/1."""
+    mat = build_incidence(SymplecticSpace(2, build_field(q_p, q_t)), 2)
+    csr = SparseIncidenceMatrix(n, mat.cols, q_p, mat.indptr[: n + 1], mat.indices[: mat.indptr[n]])
+    dense = np.zeros((n, mat.cols), dtype=np.uint8)
+    for i in range(n):
+        dense[i, mat.row(i)] = 1
+    return csr, dense
 
 
 def test_identity_and_ones():
@@ -62,6 +81,44 @@ small_matrices = st.tuples(st.integers(0, 10), st.integers(1, 10)).flatmap(
 @example(p=65537, mat=np.array([[65537], [2], [-4]]))
 def test_rank_matches_reference_property(p, mat):
     assert rank_mod_p(mat, p) == reference_rank(mat, p)
+
+
+@pytest.mark.parametrize("p", [3, 13, 17])
+def test_wide_matrices_fed_without_transpose(p):
+    rng = np.random.default_rng(40 + p)
+    for shape in [(3, 50), (12, 40), (30, 31)]:
+        m = rng.integers(0, p, size=shape)
+        m[-1] = (2 * m[0] + m[1]) % p  # one dependent row
+        assert eliminate(m, p).transposed
+        assert direct_rank(m, p) == rank_mod_p(m, p) == reference_rank(m, p)
+
+
+@pytest.mark.parametrize("q_p, q_t, want", [(3, 2, 282), (13, 1, 300)])
+def test_w3q_line_prefix_fed_without_transpose(q_p, q_t, want):
+    csr, dense = line_prefix(q_p, q_t, 300)  # 300 x 820 and 300 x 2380
+    assert direct_rank(dense, q_p) == reference_rank(dense, q_p) == want
+    assert rank_mod_p(dense, q_p) == rank_mod_p(csr) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_byte_lane_reduction_matches_mod(p):
+    # every value back-elimination can leave: (p-1) + (p-1)^2 = (p-1)p
+    acc = DenseRowPacked(1, p)
+    assert acc.dtype is np.uint8
+    lanes = np.arange((p - 1) * p + 1, dtype=np.uint8)
+    want = lanes % p
+    assert np.array_equal(acc.reduce(lanes), want)
+    block = np.tile(np.arange((p - 1) * p + 1, dtype=np.uint8), (3, 1))
+    assert np.array_equal(acc.reduce(block), np.tile(want, (3, 1)))
+
+
+def test_kernel_counters():
+    m = np.zeros((4, 9), dtype=int)
+    m[0, 0] = m[1, 1] = m[2, 0] = m[2, 1] = 1  # rank 2, wide
+    acc = eliminate(m, 3)
+    assert (acc.transposed, acc.cols, acc.rows_seen, acc.rank) == (True, 4, 9, 2)
+    acc = eliminate(m.T, 257)
+    assert (acc.transposed, acc.cols, acc.rows_seen, acc.dtype) == (False, 4, 9, np.uint32)
 
 
 def test_planted_rank():
@@ -144,3 +201,5 @@ def test_streaming_agrees_on_acceptance_matrices():
     assert rank_mod_p(dense, 3) == rank_mod_p(mat) == 343
     t = mat.transpose()
     assert rank_mod_p(t) == 343
+    # the wide 364 x 3640 orientation, fed as is rather than re-transposed
+    assert direct_rank(dense.T, 3) == 343
