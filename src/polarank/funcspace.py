@@ -1,9 +1,18 @@
 """The algebra k[V] of functions on V with its symplectic group action.
 
-Functions are sparse coefficient dictionaries over the basis monomials
-(exponent of each coordinate at most q-1); multiplying functions reduces an
-exponent e >= q by e -> e - (q-1), which preserves q-1 and never creates a
-spurious 0.  The group acts by coordinate substitution, the convention the
+A function is a GF(q) combination of the basis monomials (exponent of each
+coordinate at most q-1).  It is held either as a coefficient dictionary
+{exponent tuple: code} or as a pair of arrays -- an (k, 2m) exponent array,
+sorted by base-q monomial key, and its k nonzero codes -- and each form is
+built from the other on first use.  The products and the action work on the
+arrays: a product is one outer sum of the two exponent arrays through the
+reduction table (e -> e - (q-1) while e >= q, which preserves q-1 and never
+creates a spurious 0), one outer product of the codes, and one GF(q) keyed
+sum over the monomial keys (`linalg.keyed_sum`).  Evaluation on all of V is
+a separable transform: the coefficients scattered into a (q,)*2m tensor,
+each axis contracted with the power table.
+
+The group acts by coordinate substitution, the convention the
 shift-operator computations are written in: act(g, f) replaces coordinate i
 by the linear form read off column i of g's matrix, and
 act(g*h, f) = act(g, act(h, f)).
@@ -12,7 +21,8 @@ The shift operators and digit projectors are group-ring elements built from
 transvections of the (x_1, y_1) plane, which fix every other coordinate.  Each
 is kept as a PlaneOperator: the images of the q^2 plane monomials
 x_1^a y_1^b, built once from `act`.  Sums and products combine these
-columns, and applying an operator leaves the middle exponents alone.
+columns, and applying an operator leaves the middle exponents alone;
+`apply_batch` sends a whole (N, 2m) exponent array through in one pass.
 
 Scalars throughout are field codes; integer binomials and factorials enter
 through the prime subfield.
@@ -39,6 +49,11 @@ from .gf import FieldSpec, binom_mod_p
 from .geometry import SymplecticSpace
 from .posets import LambdaType, SignedHType, h_type_from_lambda, signed_leq, type_of
 
+# largest q^(2m) that evaluate_all tabulates: it holds one code per vector of V
+EVALUATION_CELLS = 1 << 24
+# exponent pairs of one product handled at once: bounds its temporaries
+CHUNK_PAIRS = 1 << 14
+
 
 class FunctionSpace:
     """Context object for k[V]: dimensions, caches, and index conventions.
@@ -55,8 +70,13 @@ class FunctionSpace:
         self.nvars = 2 * m
         self.codes = frozenset(range(self.q))  # the field codes, also the exponent range
         # reduced[e] = reduce_exp(e) for every exponent sum e = 0..2q-2 of a product
-        self.reduced = [self.reduce_exp(e) for e in range(2 * self.q - 1)]
+        self.reduced = np.array([self.reduce_exp(e) for e in range(2 * self.q - 1)], dtype=field.dtype)
+        if self.q**self.nvars > np.iinfo(np.int64).max:
+            raise RangeError(f"monomial keys of q^(2m) = {self.q}^{self.nvars} overflow int64")
+        # the base-q key of an exponent row is exps @ place, its index in lexicographic order
+        self.place = self.q ** np.arange(self.nvars - 1, -1, -1, dtype=np.int64)
         self._vectors = None
+        self._plane_images = {}
         self._shift_cache = {}
         self._projector_cache = {}
         self._basis_cache = {}
@@ -70,6 +90,10 @@ class FunctionSpace:
         while e >= q:
             e -= q - 1
         return e
+
+    def keys(self, exps: np.ndarray) -> np.ndarray:
+        """Base-q monomial key of every row of an (k, 2m) exponent array."""
+        return exps @ self.place
 
     def all_vectors(self) -> np.ndarray:
         """Every vector of V as a (q^(2m), 2m) code array, in lexicographic order."""
@@ -117,9 +141,14 @@ def _check_terms(space: FunctionSpace, terms: dict, width: int) -> None:
 
 
 class FunctionOnV:
-    """A k-valued function on V as a sparse monomial coefficient vector."""
+    """A k-valued function on V as a sparse monomial coefficient vector.
 
-    __slots__ = ("space", "coeffs")
+    `coeffs` is the {exponent tuple: code} dictionary and `terms()` the
+    sorted (exponents, codes) arrays; either is built from the other on
+    first use.  Functions are immutable.
+    """
+
+    __slots__ = ("space", "_coeffs", "_terms")
 
     def __init__(self, space: FunctionSpace, coeffs: dict, _trusted: bool = False):
         # _trusted: terms computed from checked operands through the field's
@@ -127,7 +156,32 @@ class FunctionOnV:
         if not _trusted:
             _check_terms(space, coeffs, space.nvars)
         self.space = space
-        self.coeffs = {e: c for e, c in coeffs.items() if c}
+        self._coeffs = {e: c for e, c in coeffs.items() if c}
+        self._terms = None
+
+    @classmethod
+    def _from_terms(cls, space: FunctionSpace, exps: np.ndarray, codes: np.ndarray) -> "FunctionOnV":
+        """From arrays already in `terms()` form: rows sorted by key, distinct, codes nonzero."""
+        f = cls.__new__(cls)
+        f.space, f._coeffs, f._terms = space, None, (exps, codes)
+        return f
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None:
+            exps, codes = self._terms
+            self._coeffs = dict(zip(map(tuple, exps.tolist()), codes.tolist()))
+        return self._coeffs
+
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exps, codes): a (k, 2m) exponent array sorted by monomial key and its k nonzero codes."""
+        if self._terms is None:
+            sp, dtype = self.space, self.space.field.dtype
+            exps = np.array(list(self._coeffs), dtype=dtype).reshape(-1, sp.nvars)
+            codes = np.array(list(self._coeffs.values()), dtype=dtype)
+            order = np.argsort(sp.keys(exps))
+            self._terms = (exps[order], codes[order])
+        return self._terms
 
     @staticmethod
     def monomial(space, exps, coeff=1) -> "FunctionOnV":
@@ -186,28 +240,43 @@ class FunctionOnV:
         return result
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FunctionOnV)
-            and self.space == other.space
-            and self.coeffs == other.coeffs
-        )
+        if not (isinstance(other, FunctionOnV) and self.space == other.space):
+            return False
+        if self._coeffs is not None and other._coeffs is not None:
+            return self._coeffs == other._coeffs
+        (e1, c1), (e2, c2) = self.terms(), other.terms()
+        return np.array_equal(e1, e2) and np.array_equal(c1, c2)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        if self._coeffs is not None:
+            return not self._coeffs
+        return not len(self._terms[1])
 
     def evaluate_all(self) -> np.ndarray:
-        """Values on every vector of V, in lexicographic vector order."""
+        """Values on every vector of V, in lexicographic vector order.
+
+        The coefficients fill a (q,)*2m code tensor, and each axis in turn
+        is contracted with the power table pow[v, e] = v^e (0^0 = 1): after
+        the contraction of axis i, the tensor holds the partial sums over
+        e_1..e_i with v_1..v_i substituted.  Only the exponents that occur
+        at coordinate i can give nonzero slices of axis i.
+        """
         sp = self.space
-        add_t, mul_t, _, _, pow_t = sp.field.np_tables()
-        vectors = sp.all_vectors()
-        out = np.zeros(len(vectors), dtype=vectors.dtype)
-        for exps, c in self.coeffs.items():
-            vals = np.full(len(vectors), c, dtype=vectors.dtype)
-            for i, e in enumerate(exps):
-                if e:
-                    vals = mul_t[vals, pow_t[vectors[:, i], e]]
-            out = add_t[out, vals]
-        return out
+        q, n = sp.q, sp.nvars
+        if q**n > EVALUATION_CELLS:
+            raise RangeError(
+                f"evaluating on all of V needs q^(2m) = {q}^{n} cells, over the cap of {EVALUATION_CELLS}"
+            )
+        pow_t = sp.field.np_tables()[4]
+        exps, codes = self.terms()
+        values = np.zeros(q**n, dtype=sp.field.dtype)
+        values[sp.keys(exps)] = codes
+        for i in range(n):
+            # contract the leading axis over the exponents that occur there;
+            # the new axis of values v_i moves to the back
+            used = np.unique(exps[:, i])
+            values = linalg.matmul(sp.field, pow_t[:, used], values.reshape(q, -1)[used]).T.copy()
+        return values.reshape(-1)
 
     def __repr__(self):
         items = sorted(self.coeffs.items())[:6]
@@ -216,20 +285,52 @@ class FunctionOnV:
         return f"FunctionOnV[{body or '0'}{more}]"
 
 
+def _collect(space: FunctionSpace, keys: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GF(q) sum of the terms codes[i] z^(key i), in `terms()` form."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    summed = linalg.keyed_sum(space.field, inverse.reshape(-1), codes.reshape(-1), len(uniq))
+    keep = summed != 0
+    exps = (uniq[keep, None] // space.place % space.q).astype(space.field.dtype)
+    return exps, summed[keep]
+
+
+def _multiply_terms(space: FunctionSpace, f: tuple, g: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Product of two functions in `terms()` form.
+
+    A block of f's rows against all of g's: the reduced exponent sums give
+    the keys, one coordinate at a time, and the code products the values;
+    each block is collected, and the blocks' partial sums once more.
+    """
+    (e1, c1), (e2, c2) = f, g
+    if not (len(c1) and len(c2)):
+        return e1[:0], c1[:0]
+    mul_t = space.field.np_tables()[1]
+    # by_sum[i, e]: the key part of coordinate i for an exponent sum e
+    by_sum = (space.reduced.astype(np.int64)[:, None] * space.place).T.copy()
+    e1, e2 = e1.astype(np.uint16), e2.astype(np.uint16)  # sums reach 2q-2
+    step = max(1, CHUNK_PAIRS // len(c2))
+    parts = []
+    for lo in range(0, len(c1), step):
+        block = e1[lo : lo + step]
+        keys = np.zeros((len(block), len(c2)), dtype=np.int64)
+        for i in range(space.nvars):
+            keys += by_sum[i, block[:, i, None] + e2[None, :, i]]
+        parts.append(_collect(space, keys, mul_t[c1[lo : lo + step, None], c2[None, :]]))
+    return _sum_terms(space, parts)
+
+
+def _sum_terms(space: FunctionSpace, parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of functions in `terms()` form."""
+    if len(parts) == 1:
+        return parts[0]
+    exps, codes = (np.concatenate(a) for a in zip(*parts))
+    return _collect(space, space.keys(exps), codes)
+
+
 def reduce_and_multiply(f: FunctionOnV, g: FunctionOnV) -> FunctionOnV:
     """Pointwise product on V: exponents reduced by e -> e - (q-1) while e >= q."""
     f._check(g)
-    sp = f.space
-    add, mul = sp.field.add, sp.field.mul
-    red = sp.reduced
-    out = {}
-    for e1, c1 in f.coeffs.items():
-        for e2, c2 in g.coeffs.items():
-            e = tuple([red[a + b] for a, b in zip(e1, e2)])
-            c = mul(c1, c2)
-            prev = out.get(e, 0)
-            out[e] = add(prev, c)
-    return FunctionOnV(sp, out, _trusted=True)
+    return FunctionOnV._from_terms(f.space, *_multiply_terms(f.space, f.terms(), g.terms()))
 
 
 # -- the symplectic group and its action ---------------------------------------
@@ -295,77 +396,73 @@ def transvection_y(space: FunctionSpace, mu_code: int) -> GroupElement:
     return symplectic_transvection(space, space.symplectic.e(1), mu_code)
 
 
-@lru_cache(maxsize=200_000)
-def _linear_form_power(space, terms, e: int) -> FunctionOnV:
-    """(sum_j c_j z_j)^e as a function; terms is ((code, var index), ...).
-
-    Cached: the same substituted columns recur across every monomial an
-    operator is applied to.  Results are treated as immutable.
-    """
-    fld = space.field
-    if e == 0:
-        return FunctionOnV.one(space)
-    if len(terms) == 1:
-        c, j = terms[0]
-        exps = [0] * space.nvars
-        exps[j] = e
-        return FunctionOnV(space, {tuple(exps): fld.pow(c, e)})
+def _linear_form_power(space: FunctionSpace, terms, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_j c_j z_j)^e in `terms()` form; terms is ((code, var index), ...), e >= 1."""
+    fld, n = space.field, space.nvars
+    mul_t, pow_t = fld.np_tables()[1], fld.np_tables()[4]
     if len(terms) == 2:
         # binomial expansion; exponents e-k, k are both <= q-1 already
         (c1, j1), (c2, j2) = terms
-        out = {}
-        for k in range(e + 1):
-            b = binom_mod_p(e, k, space.p)
-            if not b:
-                continue
-            coeff = fld.mul(b, fld.mul(fld.pow(c1, e - k), fld.pow(c2, k)))
-            if not coeff:
-                continue
-            exps = [0] * space.nvars
-            exps[j1] = e - k
-            exps[j2] = k
-            key = tuple(exps)
-            out[key] = fld.add(out.get(key, 0), coeff)
-        return FunctionOnV(space, out)
-    coeffs = {}
-    for c, j in terms:
-        exps = [0] * space.nvars
-        exps[j] = 1
-        coeffs[tuple(exps)] = c
-    return FunctionOnV(space, coeffs) ** e
+        k = np.arange(e + 1)
+        binom = np.array([binom_mod_p(e, i, space.p) for i in k], dtype=fld.dtype)
+        exps = np.zeros((e + 1, n), dtype=fld.dtype)
+        exps[:, j1], exps[:, j2] = e - k, k
+        return _collect(space, space.keys(exps), mul_t[binom, mul_t[pow_t[c1, e - k], pow_t[c2, k]]])
+    exps = np.zeros((len(terms), n), dtype=fld.dtype)
+    codes = np.zeros(len(terms), dtype=fld.dtype)
+    for row, (c, j) in enumerate(terms):
+        exps[row, j], codes[row] = 1, c
+    if len(terms) == 1:
+        exps[0] *= e
+        return exps, pow_t[codes, e]
+    order = np.argsort(space.keys(exps))
+    base, result = (exps[order], codes[order]), None
+    while e:  # square and multiply
+        if e & 1:
+            result = base if result is None else _multiply_terms(space, result, base)
+        e >>= 1
+        if e:
+            base = _multiply_terms(space, base, base)
+    return result
 
 
 def act(g: GroupElement, f: FunctionOnV) -> FunctionOnV:
-    """Coordinate substitution action; multiplicative: act(g*h, f) = act(g, act(h, f))."""
+    """Coordinate substitution action; multiplicative: act(g*h, f) = act(g, act(h, f)).
+
+    The monomials are grouped by the exponents of the coordinates that g
+    moves, and each group is one partial sum over the exponents of the
+    others.  The moved coordinates are substituted one at a time: each
+    group's sum is multiplied by the power of the substituted linear form,
+    and the groups that then agree on the remaining moved exponents are
+    collected by one keyed sum.
+    """
     if g.space != f.space:
         raise ContextMismatch("group element and function contexts differ")
     sp = f.space
-    fld = sp.field
     n = sp.nvars
     mat = g.matrix.tolist()
     # column i of the matrix is the linear form substituted for coordinate i
-    columns = []
-    for i in range(n):
-        col = tuple((mat[j][i], j) for j in range(n) if mat[j][i])
-        columns.append(col)
-    identity_cols = [len(c) == 1 and c[0] == (1, i) for i, c in enumerate(columns)]
-    out = FunctionOnV.zero(sp)
-    for exps, coeff in f.coeffs.items():
-        pieces = None
-        plain = [0] * n
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            if identity_cols[i]:
-                plain[i] = e
-                continue
-            piece = _linear_form_power(sp, columns[i], e)
-            pieces = piece if pieces is None else pieces * piece
-        term = FunctionOnV(sp, {tuple(plain): coeff})
-        if pieces is not None:
-            term = term * pieces
-        out = out + term
-    return out
+    columns = [tuple((mat[j][i], j) for j in range(n) if mat[j][i]) for i in range(n)]
+    moved = [i for i, col in enumerate(columns) if col != ((1, i),)]
+    exps, codes = f.terms()
+    rest = exps.copy()
+    rest[:, moved] = 0
+    groups = {}
+    for row, key in enumerate(map(tuple, exps[:, moved].tolist())):
+        groups.setdefault(key, []).append(row)
+    # a group's rows differ outside the moved coordinates, so they stay sorted and distinct
+    groups = {key: (rest[rows], codes[rows]) for key, rows in groups.items()}
+    for i in moved:
+        powers, merged = {}, {}
+        for key, part in groups.items():
+            e = key[0]
+            if e:
+                if e not in powers:
+                    powers[e] = _linear_form_power(sp, columns[i], e)
+                part = _multiply_terms(sp, part, powers[e])
+            merged.setdefault(key[1:], []).append(part)
+        groups = {key: _sum_terms(sp, parts) for key, parts in merged.items()}
+    return FunctionOnV._from_terms(sp, *groups.get((), (exps[:0], codes[:0])))
 
 
 # -- plane operators -------------------------------------------------------------
@@ -378,10 +475,11 @@ class PlaneOperator:
     {(a', b'): code} dict, checked at construction.  `apply` sends each
     monomial through the column of its (x_1, y_1) exponents and leaves the
     middle exponents alone; sums, scalings and products combine columns, and
-    (A * B).apply(f) == A.apply(B.apply(f)).
+    (A * B).apply(f) == A.apply(B.apply(f)).  `apply_batch` does the same
+    for every row of an exponent array at once.
     """
 
-    __slots__ = ("space", "columns")
+    __slots__ = ("space", "columns", "_entries")
 
     def __init__(self, space: FunctionSpace, columns: list, _trusted: bool = False):
         # _trusted: columns combined from checked operators, as for FunctionOnV
@@ -392,6 +490,7 @@ class PlaneOperator:
                 _check_terms(space, col, 2)
         self.space = space
         self.columns = columns
+        self._entries = None
 
     @staticmethod
     def identity(space) -> "PlaneOperator":
@@ -455,46 +554,105 @@ class PlaneOperator:
                 out[key] = add(out.get(key, 0), mul(coeff, c))
         return FunctionOnV(self.space, out, _trusted=True)
 
+    def _sparse(self) -> tuple:
+        """The nonzero column entries as arrays (starts, a', b', codes):
+        column k holds the entries starts[k]:starts[k + 1]."""
+        if self._entries is None:
+            dtype = self.space.field.dtype
+            entries = [(a, b, c) for col in self.columns for (a, b), c in col.items() if c]
+            sizes = [sum(1 for c in col.values() if c) for col in self.columns]
+            a, b, c = np.array(entries, dtype=dtype).reshape(-1, 3).T
+            self._entries = (np.concatenate([[0], np.cumsum(sizes)]), a, b, c)
+        return self._entries
+
+    def apply_batch(self, exps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The images of the monomials z^exps[k] of an (N, 2m) exponent array.
+
+        Returns (src, images, codes): the image of row k is the sum of
+        codes[i] z^images[i] over the i with src[i] == k.  src is sorted,
+        the terms of one row are distinct, and images are full exponent
+        rows, so a moved middle exponent would show.
+        """
+        sp = self.space
+        exps = np.asarray(exps)
+        if exps.ndim != 2 or exps.shape[1] != sp.nvars or exps.dtype.kind not in "iu" or (
+            exps.size and (exps.min() < 0 or exps.max() >= sp.q)
+        ):
+            raise RangeError(f"an exponent array needs rows of {sp.nvars} entries in [0, {sp.q - 1}]")
+        starts, a, b, codes = self._sparse()
+        col = exps[:, 0].astype(np.intp) * sp.q + exps[:, -1]
+        counts = starts[col + 1] - starts[col]
+        src = np.repeat(np.arange(len(exps), dtype=np.int32), counts)
+        # entry i is number i - first[src[i]] of its row's column
+        first = np.cumsum(counts) - counts
+        at = starts[col][src] + np.arange(len(src)) - first[src]
+        images = exps[src].astype(sp.field.dtype)
+        images[:, 0], images[:, -1] = a[at], b[at]
+        return src, images, codes[at]
+
+
+def _transvection_images(space: FunctionSpace, mirror: bool) -> list:
+    """images[mu - 1][s]: the image of the moved variable's s-th power under
+    the plane transvection by mu^-1, as {(x_1 exponent, y_1 exponent): code}.
+
+    x_1 moves (y_1 for the mirror) and the other plane variable is fixed.
+    Every shift operator of one side sums the same images with its own
+    weights, so they are built once, by `act`, and cached on the space.
+    """
+    cached = space._plane_images.get(mirror)
+    if cached is not None:
+        return cached
+    fld, q, n = space.field, space.q, space.nvars
+    make = transvection_y if mirror else transvection_x
+    moved = n - 1 if mirror else 0
+    images = []
+    for mu in range(1, q):
+        g = make(space, fld.inv(mu))
+        row = []
+        for s in range(q):
+            exps = [0] * n
+            exps[moved] = s
+            image = act(g, FunctionOnV(space, {tuple(exps): 1}, _trusted=True)).coeffs
+            for e in image:
+                if any(e[1:-1]):
+                    raise InvariantError(f"plane transvection moved a middle variable: {e}")
+            row.append({(e[0], e[-1]): c for e, c in image.items()})
+        images.append(row)
+    space._plane_images[mirror] = images
+    return images
+
 
 def _shift_terms(space: FunctionSpace, ell: int, j: int, mirror: bool) -> PlaneOperator:
     """sum over nonzero mu of mu^(ell p^j) times the plane transvection by mu^-1.
 
     The transvection moves one of x_1, y_1 and fixes the other, and `act`
     is multiplicative, so the image of x_1^a y_1^b is the sum's image of the
-    moved variable's power times the fixed variable's power: one `act` per
-    exponent of the moved variable and per scalar.  Cached on the space.
+    moved variable's power times the fixed variable's power.  Cached on the
+    space.
     """
     key = (ell, j, mirror)
     cached = space._shift_cache.get(key)
     if cached is not None:
         return cached
-    fld, q, n = space.field, space.q, space.nvars
-    make = transvection_y if mirror else transvection_x
-    moved, fixed = (n - 1, 0) if mirror else (0, n - 1)
+    fld, q = space.field, space.q
+    add, mul, red = fld.add, fld.mul, space.reduce_exp
     exp = ell * space.p**j
-    terms = [(fld.pow(mu, exp), make(space, fld.inv(mu))) for mu in range(1, q)]
-
-    def power(i, e):
-        exps = [0] * n
-        exps[i] = e
-        return FunctionOnV(space, {tuple(exps): 1})
-
+    weights = [fld.pow(mu, exp) for mu in range(1, q)]
+    images = _transvection_images(space, mirror)
     columns = [None] * (q * q)
     for s in range(q):
-        moved_power = power(moved, s)
         image = {}
-        for c, g in terms:
-            for e, c2 in act(g, moved_power).coeffs.items():
-                if any(e[1:-1]):
-                    raise InvariantError(f"plane transvection moved a middle variable: {e}")
-                image[e] = fld.add(image.get(e, 0), fld.mul(c, c2))
-        image = FunctionOnV(space, image)
+        for c, row in zip(weights, images):
+            for plane, c2 in row[s].items():
+                image[plane] = add(image.get(plane, 0), mul(c, c2))
         for u in range(q):
-            col = image * power(fixed, u)
-            columns[u * q + s if mirror else s * q + u] = {
-                (e[0], e[-1]): c for e, c in col.coeffs.items()
-            }
-    op = PlaneOperator(space, columns)
+            # times the fixed variable's u-th power
+            col = {}
+            for (a, b), c in image.items():
+                plane = (red(a + u), b) if mirror else (a, red(b + u))
+                col[plane] = add(col.get(plane, 0), c)
+            columns[u * q + s if mirror else s * q + u] = {k: c for k, c in col.items() if c}
+    op = PlaneOperator(space, columns, _trusted=True)
     space._shift_cache[key] = op
     return op
 
@@ -517,25 +675,33 @@ def shift_mirror(space: FunctionSpace, ell: int, j: int) -> PlaneOperator:
     return _shift_terms(space, ell, j, mirror=True)
 
 
-def shift_predicted(space: FunctionSpace, ell: int, j: int, exps) -> FunctionOnV:
-    """Closed-form image of a basis monomial under g_ell(j).
+def shift_predicted_terms(space: FunctionSpace, ell: int, j: int, exps) -> tuple:
+    """Closed-form images under g_ell(j) of every row of an (N, 2m) exponent array.
 
-    Zero when the j-th digit of the x_1 exponent is below ell, else
-    -C(a_1j, ell) times the monomial with ell p^j moved from x_1 to y_1.
-    The closed form is the t > 1 statement; it also holds at t = 1 except
-    for ell = p - 1, where the defining sum picks up an extra term.
+    Returns (hit, images, codes): row k goes to codes[k] z^images[k] where
+    hit[k], else to zero.  It is zero when the j-th digit of the x_1
+    exponent is below ell, else -C(a_1j, ell) times the monomial with
+    ell p^j moved from x_1 to y_1.  The closed form is the t > 1 statement;
+    it also holds at t = 1 except for ell = p - 1, where the defining sum
+    picks up an extra term.
     """
-    exps = tuple(exps)
-    p, q = space.p, space.q
-    a1 = exps[0]
-    digit = (a1 // p**j) % p
-    if digit < ell:
+    p, step = space.p, ell * space.p**j
+    exps = np.asarray(exps, dtype=np.intp).reshape(-1, space.nvars)
+    digit = exps[:, 0] // p**j % p
+    hit = digit >= ell
+    codes = np.array([-binom_mod_p(d, ell, p) % p for d in range(p)], dtype=space.field.dtype)[digit]
+    images = exps.copy()
+    images[:, 0] -= np.where(hit, step, 0)
+    images[:, -1] = space.reduced[images[:, -1] + np.where(hit, step, 0)]
+    return hit, images.astype(space.field.dtype), codes
+
+
+def shift_predicted(space: FunctionSpace, ell: int, j: int, exps) -> FunctionOnV:
+    """Closed-form image of one basis monomial under g_ell(j); see `shift_predicted_terms`."""
+    hit, images, codes = shift_predicted_terms(space, ell, j, [exps])
+    if not hit[0]:
         return FunctionOnV.zero(space)
-    coeff = (-binom_mod_p(digit, ell, p)) % p
-    new = list(exps)
-    new[0] = a1 - ell * p**j
-    new[-1] = space.reduce_exp(exps[-1] + ell * p**j)
-    return FunctionOnV(space, {tuple(new): coeff})
+    return FunctionOnV(space, {tuple(images[0].tolist()): int(codes[0])})
 
 
 def digit_projector(space: FunctionSpace, alpha: int, beta: int, j: int) -> PlaneOperator:
@@ -591,12 +757,13 @@ def digit_projector(space: FunctionSpace, alpha: int, beta: int, j: int) -> Plan
     return op
 
 
-def digit_projector_selects(space: FunctionSpace, alpha: int, beta: int, j: int, exps) -> bool:
-    """Whether the projector should return the monomial unchanged."""
-    p = space.p
-    a = (exps[0] // p**j) % p
-    b = (exps[-1] // p**j) % p
-    return (a, b) == (alpha, beta) or (a, b) == (p - 1 - beta, p - 1 - alpha)
+def digit_projector_selects(space: FunctionSpace, alpha: int, beta: int, j: int, exps):
+    """Whether the projector should return the monomial unchanged; for an
+    (N, 2m) exponent array, one bool per row."""
+    p, exps = space.p, np.asarray(exps)
+    a = exps[..., 0] // p**j % p
+    b = exps[..., -1] // p**j % p
+    return ((a == alpha) & (b == beta)) | ((a == p - 1 - beta) & (b == p - 1 - alpha))
 
 
 # -- tau and the middle-degree split -------------------------------------------
@@ -771,11 +938,12 @@ def symplectic_basis(space: FunctionSpace, lam) -> list:
     js = h.j_set()
     options = [_digit_options(space, l) for l in lam]
     out = []
+    stypes = {}  # one shared SignedHType per signature: a type has p^(2mt) functions at most
     for combo in itertools.product(*options):
-        eps = frozenset(
-            j for j in js if combo[j][0] in ("diag", "plus")
-        )
-        out.append(SymplecticBasisFunction(space, combo, SignedHType(h, eps)))
+        eps = tuple(j for j in js if combo[j][0] in ("diag", "plus"))
+        if eps not in stypes:
+            stypes[eps] = SignedHType(h, frozenset(eps))
+        out.append(SymplecticBasisFunction(space, combo, stypes[eps]))
     space._basis_cache[lam] = out
     return out
 

@@ -3,12 +3,20 @@
 Each check returns {"name", "cases", "failures", "passed", "counterexamples",
 "notes"}; `verify_lemmas` bundles them into the CLI's lab ledger.  Exhaustive
 enumeration is used whenever q^(2m) <= 6561, otherwise seeded sampling.
+
+The monomial sweeps hold their sample as one (N, 2m) exponent array and
+apply each plane operator to all of it in one batched pass
+(`PlaneOperator.apply_batch`).  The images are compared with the closed
+forms (`shift_predicted_terms`, `digit_projector_selects`) as arrays, and
+counterexample records are built only for the rows that fail.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 
 from . import dimensions, funcspace as fs, linalg
 from .errors import RangeError
@@ -30,18 +38,42 @@ def _result(name, cases, failures, notes=None):
 
 
 def _monomial_sample(space, limit=EXHAUSTIVE_LIMIT, seed=0, count=500):
-    if space.q ** space.nvars <= limit:
-        return list(space.monomials()), True
+    """(N, 2m) exponent array in lexicographic order, and whether it is all monomials."""
+    n = space.nvars
+    if space.q**n <= limit:
+        return np.indices((space.q,) * n, dtype=space.field.dtype).reshape(n, -1).T, True
     rng = random.Random(seed)
     out = {
-        tuple(rng.randrange(space.q) for _ in range(space.nvars))
+        tuple(rng.randrange(space.q) for _ in range(n))
         for _ in range(count)
     }
-    return sorted(out), False
+    return np.array(sorted(out), dtype=space.field.dtype), False
+
+
+def _image_items(src, images, codes, row) -> list:
+    """The image of sample row `row` as sorted (exponent tuple, code) pairs."""
+    lo, hi = np.searchsorted(src, [row, row + 1])
+    return sorted(zip(map(tuple, images[lo:hi].tolist()), codes[lo:hi].tolist()))
+
+
+def _equals_one_term(n, batch, hit, want_exps, want_codes) -> np.ndarray:
+    """Per sample row: is its image exactly codes z^exps where `hit`, else zero?"""
+    src, images, codes = batch
+    count = np.bincount(src, minlength=n)
+    single = np.flatnonzero(hit & (count == 1))
+    at = np.searchsorted(src, single)  # a row's terms are distinct, so one term decides
+    same = np.zeros(n, dtype=bool)
+    same[single] = (images[at] == want_exps[single]).all(axis=1) & (codes[at] == want_codes[single])
+    return np.where(hit, same, count == 0)
 
 
 def shift_lemma_check(space, seed=0) -> dict:
-    """Closed-form shift action vs the defining sum over the nonzero field."""
+    """Closed-form shift action vs the defining sum over the nonzero field.
+
+    Each operator is applied to the whole sample in one batched pass; a
+    row fails when its image differs from the closed form or has a
+    coefficient outside the prime field.
+    """
     monos, exhaustive = _monomial_sample(space, seed=seed)
     notes = [] if exhaustive else [f"sampled {len(monos)} monomials (seed {seed})"]
     ells = range(1, space.p)
@@ -52,20 +84,19 @@ def shift_lemma_check(space, seed=0) -> dict:
         notes.append("t=1: ell = p-1 excluded (closed form assumes t > 1)")
     failures = []
     cases = 0
+    n = len(monos)
     for ell in ells:
         for j in range(space.t):
-            op = fs.shift_operator(space, ell, j)
-            for exps in monos:
-                cases += 1
-                # a monomial of the space's own enumeration: nothing to check
-                got = op.apply(fs.FunctionOnV(space, {exps: 1}, _trusted=True))
-                want = fs.shift_predicted(space, ell, j, exps)
-                prime_field = all(c < space.p for c in got.coeffs.values())
-                if got != want or not prime_field:
-                    failures.append(
-                        {"exps": list(exps), "ell": ell, "j": j,
-                         "got": sorted(got.coeffs.items())}
-                    )
+            batch = fs.shift_operator(space, ell, j).apply_batch(monos)
+            src, _, codes = batch
+            cases += n
+            ok = _equals_one_term(n, batch, *fs.shift_predicted_terms(space, ell, j, monos))
+            ok &= np.bincount(src[codes >= space.p], minlength=n) == 0
+            for row in np.flatnonzero(~ok).tolist():
+                failures.append(
+                    {"exps": monos[row].tolist(), "ell": ell, "j": j,
+                     "got": _image_items(*batch, row)}
+                )
     return _result("shift-operator-closed-form", cases, failures, notes)
 
 
@@ -80,6 +111,10 @@ def digit_projector_check(space, seed=0) -> list:
     the (x_1, y_1)-plane transvections can fix it (exact computation).  The
     first check asserts the provable statement; the second asserts that the
     defect stays confined to that boundary.
+
+    Each projector is applied to the whole sample in one batched pass.  A
+    monomial it returns unchanged is returned unchanged again, so on every
+    row where selection holds, idempotence holds with it.
     """
     if space.t == 1:
         return [
@@ -89,44 +124,35 @@ def digit_projector_check(space, seed=0) -> list:
             )
         ]
     monos, exhaustive = _monomial_sample(space, seed=seed)
-    q = space.q
+    q, n = space.q, len(monos)
     notes = [] if exhaustive else [f"sampled {len(monos)} monomials (seed {seed})"]
     notes.append("interior = x_1 and y_1 exponents below q-1")
+    on_boundary = (monos[:, 0] == q - 1) | (monos[:, -1] == q - 1)
+    ones = np.ones(n, dtype=space.field.dtype)
     interior_failures = []
     escaped_boundary = []
-    interior_cases = boundary_cases = 0
+    interior_cases = int((~on_boundary).sum()) * space.t * space.p**2
+    boundary_cases = int(on_boundary.sum()) * space.t * space.p**2
     for j in range(space.t):
         for alpha in range(space.p):
             for beta in range(space.p):
-                op = fs.digit_projector(space, alpha, beta, j)
-                for exps in monos:
-                    on_boundary = exps[0] == q - 1 or exps[-1] == q - 1
-                    f = fs.FunctionOnV(space, {exps: 1}, _trusted=True)
-                    got = op.apply(f)
-                    want = (
-                        f
-                        if fs.digit_projector_selects(space, alpha, beta, j, exps)
-                        else fs.FunctionOnV.zero(space)
+                batch = fs.digit_projector(space, alpha, beta, j).apply_batch(monos)
+                src, images = batch[:2]
+                selects = fs.digit_projector_selects(space, alpha, beta, j, monos)
+                wrong = ~_equals_one_term(n, batch, selects, monos, ones)
+                # any mis-selection on the boundary must keep all its output
+                # monomials in the same middle exponents
+                escaped = np.zeros(n, dtype=bool)
+                escaped[src[(images[:, 1:-1] != monos[src, 1:-1]).any(axis=1)]] = True
+                for row in np.flatnonzero(wrong & on_boundary & escaped).tolist():
+                    escaped_boundary.append(
+                        {"exps": monos[row].tolist(), "alpha": alpha, "beta": beta, "j": j}
                     )
-                    if on_boundary:
-                        boundary_cases += 1
-                        # any mis-selection must keep all its output monomials
-                        # on the boundary of the same exponent pair classes
-                        if got != want:
-                            for e2 in got.coeffs:
-                                if e2[1:-1] != exps[1:-1]:
-                                    escaped_boundary.append(
-                                        {"exps": list(exps), "alpha": alpha,
-                                         "beta": beta, "j": j}
-                                    )
-                                    break
-                        continue
-                    interior_cases += 1
-                    if got != want or op.apply(got) != got:
-                        interior_failures.append(
-                            {"exps": list(exps), "alpha": alpha, "beta": beta, "j": j,
-                             "got": sorted(got.coeffs.items())}
-                        )
+                for row in np.flatnonzero(wrong & ~on_boundary).tolist():
+                    interior_failures.append(
+                        {"exps": monos[row].tolist(), "alpha": alpha, "beta": beta, "j": j,
+                         "got": _image_items(*batch, row)}
+                    )
     return [
         _result(
             "digit-projector-selection-interior", interior_cases,
@@ -151,6 +177,10 @@ def projector_orthogonality_check(space) -> dict:
     def sel_set(a, b):
         return frozenset({(a, b), (p - 1 - b, p - 1 - a)})
 
+    # x_1^ax y_1^bx for ax, bx below q-1, in lexicographic order
+    plane = np.indices((space.q - 1,) * 2).reshape(2, -1).T
+    monos = np.zeros((len(plane), space.nvars), dtype=space.field.dtype)
+    monos[:, 0], monos[:, -1] = plane[:, 0], plane[:, 1]
     pairs = [(a, b) for a in range(p) for b in range(p)]
     failures = []
     cases = 0
@@ -158,14 +188,9 @@ def projector_orthogonality_check(space) -> dict:
         if sel_set(a1, b1) & sel_set(a2, b2):
             continue
         comp = fs.digit_projector(space, a1, b1, 0) * fs.digit_projector(space, a2, b2, 0)
-        for ax in range(space.q - 1):
-            for bx in range(space.q - 1):
-                cases += 1
-                exps = [0] * space.nvars
-                exps[0], exps[-1] = ax, bx
-                out = comp.apply(fs.FunctionOnV(space, {tuple(exps): 1}))
-                if not out.is_zero():
-                    failures.append({"pairs": [[a1, b1], [a2, b2]], "exps": [ax, bx]})
+        cases += len(monos)
+        for row in np.unique(comp.apply_batch(monos)[0]).tolist():
+            failures.append({"pairs": [[a1, b1], [a2, b2]], "exps": plane[row].tolist()})
     return _result("digit-projector-orthogonality", cases, failures)
 
 
@@ -225,8 +250,6 @@ def action_check(space, trials=100, seed=0) -> dict:
     (they already generate the group); full-support directions are exercised
     on low-degree functions to keep the symbolic expansion bounded.
     """
-    import numpy as np
-
     rng = random.Random(seed)
     failures = []
     cases = 0

@@ -2,13 +2,16 @@
 
 Matrices are numpy arrays of field codes.  Row operations are table gathers
 (add[M, mul[c, row]]), so elimination runs at numpy speed while staying exact.
-There is one Gauss-Jordan loop and one matrix product.  ``rref_stack``
-reduces a whole stack (B, k, n) of matrices at once, one column step for all
-items; the 2-D calls are that loop on a stack of one.  ``matmul`` is every
-GF(q) product in the package, from points c.G of flats and isotropy tests to
-products of symplectic matrices.  Stacks reach about a million small items
-(the perps of every isotropic flat), single matrices a few hundred rows (the
-function-space lab); the large GF(p) rank kernel lives in ranks.py.
+There is one Gauss-Jordan loop, one matrix product and one keyed sum.
+``rref_stack`` reduces a whole stack (B, k, n) of matrices at once, one
+column step for all items; the 2-D calls are that loop on a stack of one.
+``matmul`` is every GF(q) product in the package, from points c.G of flats
+and isotropy tests to products of symplectic matrices and the evaluation of
+functions on V.  ``keyed_sum`` adds codes into cells: the torus route's
+character sums and the function-space lab's products.  Stacks reach about a
+million small items (the perps of every isotropic flat), single matrices a
+few hundred rows (the function-space lab); the large GF(p) rank kernel lives
+in ranks.py.
 """
 
 from __future__ import annotations
@@ -43,6 +46,27 @@ def matmul(field: FieldSpec, a, b) -> np.ndarray:
     out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=field.dtype)
     for k in range(a.shape[-1]):
         out = add_t[out, mul_t[a[..., :, k, None], b[..., None, k, :]]]
+    return out
+
+
+def keyed_sum(field: FieldSpec, keys, codes, size: int) -> np.ndarray:
+    """out[k] = the GF(q) sum of the codes[i] with keys[i] == k, for k < size.
+
+    Codes add digit-wise mod p, so each base-p digit of the sums is one
+    integer keyed sum reduced mod p, and the digits recombine by Horner.
+    """
+    p, codes = field.p, np.asarray(codes)
+    # a digit sum stays below len(keys) * p, so the smallest type that holds
+    # that is exact and keeps the accumulator and its remainder cheap
+    acc = np.min_scalar_type(max(len(codes), 1) * p).type
+    sums = np.empty(size, dtype=acc)
+    out = np.zeros(size, dtype=field.dtype)
+    for i in range(field.t - 1, -1, -1):
+        sums[:] = 0
+        np.add.at(sums, keys, (codes // p**i % p).astype(acc))
+        sums %= acc(p)
+        out *= field.dtype(p)
+        out += sums.astype(field.dtype)
     return out
 
 

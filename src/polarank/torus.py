@@ -20,13 +20,14 @@ of x_O, which is |Stab| (a unit mod p) when chi_alpha is trivial there and
 
 The route: flats and their points come from `incidence.build_incidence`;
 point orbits from an arithmetic normal form; flat orbits from label
-propagation along the m generators of T; the character sums are integer
-digit sums, since codes add digit-wise mod p; the ranks come from one
-stacked GF(q) elimination per chunk of characters.  Characters of odd sum
-give 0, since -I in T fixes every point.  rank M_alpha is constant on the
-orbits of the signed permutations of alpha (the Weyl group, which
-normalizes T in Sp) and of alpha -> p alpha (the Frobenius), so one
-character per class is solved and its rank counted class-size times.
+propagation along the m generators of T; the character sums are keyed
+sums (`linalg.keyed_sum`: integer digit sums, since codes add digit-wise
+mod p); the ranks come from one stacked GF(q) elimination per chunk of
+characters.  Characters of odd sum give 0, since -I in T fixes every
+point.  rank M_alpha is constant on the orbits of the signed permutations
+of alpha (the Weyl group, which normalizes T in Sp) and of alpha -> p alpha
+(the Frobenius), so one character per class is solved and its rank counted
+class-size times.
 """
 
 from __future__ import annotations
@@ -171,7 +172,6 @@ class WeightProblem:
     field: FieldSpec
     flat_orbits: int
     point_orbits: int
-    points_per_flat: int
     kinds: np.ndarray  # (point_orbits, m) pair kinds of each x_O
     cells: np.ndarray  # (terms,) flat orbit * point_orbits + point orbit
     units: np.ndarray  # (m, terms) the a_i of s_y = t_a for each term's point y
@@ -205,7 +205,7 @@ def weight_problem(space: SymplecticSpace, r: int, timings: dict | None = None) 
         cells[at] = (np.arange(lo, lo + len(points))[:, None] * len(kinds) + orbit[points]).ravel()
         units[:, at] = exp[exps[points.ravel()].T]
     timings["orbit_s"] = timer.elapsed()
-    return WeightProblem(space.field, len(reps), len(kinds), k, kinds, cells, units)
+    return WeightProblem(space.field, len(reps), len(kinds), kinds, cells, units)
 
 
 def character_ranks(problem: WeightProblem, alphas, timings: dict | None = None) -> np.ndarray:
@@ -215,33 +215,22 @@ def character_ranks(problem: WeightProblem, alphas, timings: dict | None = None)
     eliminations are added to its "character_s" and "rank_s".
     """
     fld = problem.field
-    p, t = fld.p, fld.t
     mul_t, pow_t = fld.np_tables()[1], fld.np_tables()[4]
-    # a cell sums at most points_per_flat digits of at most p-1
-    most = problem.points_per_flat * (p - 1)
-    acc = next(dt for dt in (np.uint8, np.uint16, np.uint32) if most <= np.iinfo(dt).max)
-    digits = (np.arange(fld.q) // p ** np.arange(t)[:, None] % p).astype(acc)  # digits[i, code]
     alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, len(problem.units))
     shape = (problem.flat_orbits, problem.point_orbits)
-    sums = np.empty(shape[0] * shape[1], dtype=acc)
     ranks = np.zeros(len(alphas), dtype=np.int64)
     character_s = rank_s = 0.0
-    step = max(1, CHUNK_CELLS // len(sums))
+    step = max(1, CHUNK_CELLS // (shape[0] * shape[1]))
     for lo in range(0, len(alphas), step):
         timer = Timer()
         chunk = alphas[lo : lo + step]
-        mats = np.zeros((len(chunk), len(sums)), dtype=fld.dtype)
+        mats = np.zeros((len(chunk), shape[0] * shape[1]), dtype=fld.dtype)
         for alpha, mat in zip(chunk.tolist(), mats):
-            # chi_alpha(s_y) = prod of a_i^alpha_i, added digit-wise into its cell
+            # chi_alpha(s_y) = prod of a_i^alpha_i, added into its cell
             values = pow_t[problem.units[0], alpha[0]]
             for unit, a in zip(problem.units[1:], alpha[1:]):
                 values = mul_t[values, pow_t[unit, a]]
-            for i in range(t - 1, -1, -1):  # the code of the digit sums mod p, by Horner
-                sums[:] = 0
-                np.add.at(sums, problem.cells, digits[i, values])
-                sums %= p
-                mat *= fld.dtype(p)
-                mat += sums
+            mat[:] = linalg.keyed_sum(fld, problem.cells, values, len(mat))
         mats = mats.reshape(len(chunk), *shape)
         mats *= _trivial_on_stabilizers(problem.kinds, chunk, fld.q - 1)[:, None, :]
         character_s += timer.elapsed()

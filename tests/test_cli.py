@@ -289,6 +289,16 @@ def test_lab_ledger_schema(capsys):
     )
 
 
+def test_lab_ledger_pinned_at_q9(capsys):
+    # the benchmarked lab job: the batched sweeps and array kernels must
+    # leave every count and counterexample of the (2,3,2) ledger unchanged
+    code, out = run(capsys, "lab", "verify-lemmas", "--m", "2", "--p", "3", "--t", "2")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4254b27456507eeb2b2ed92ce394cfffcd26baf15f642db66477c7f018c10ba5"
+    )
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = cli.main(

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarank import funcspace as fs
 from polarank.dimensions import dim_S_plus_minus, dimension_table
@@ -426,3 +429,152 @@ def test_group_ring_algebra_on_functions(sp9, sp3):
         one * fs.PlaneOperator.identity(sp3)
     with pytest.raises(ContextMismatch):
         one.apply(fs.FunctionOnV.one(sp3))
+
+
+# -- array kernels against the per-term references ---------------------------------
+
+SPACES = {9: fs.FunctionSpace(2, build_field(3, 2)), 25: fs.FunctionSpace(2, build_field(5, 2))}
+
+
+def reference_evaluate_all(f):
+    """Values on every vector of V, one monomial term at a time."""
+    sp = f.space
+    add_t, mul_t, _, _, pow_t = sp.field.np_tables()
+    vectors = sp.all_vectors()
+    out = np.zeros(len(vectors), dtype=vectors.dtype)
+    for exps, c in f.coeffs.items():
+        vals = np.full(len(vectors), c, dtype=vectors.dtype)
+        for i, e in enumerate(exps):
+            if e:
+                vals = mul_t[vals, pow_t[vectors[:, i], e]]
+        out = add_t[out, vals]
+    return out
+
+
+def reference_multiply(f, g):
+    """The product as a dictionary loop over pairs of terms."""
+    sp = f.space
+    add, mul = sp.field.add, sp.field.mul
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = tuple(sp.reduce_exp(a + b) for a, b in zip(e1, e2))
+            out[e] = add(out.get(e, 0), mul(c1, c2))
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_act(g, f):
+    """Coordinate substitution, one monomial and one linear-form power at a time."""
+    sp = f.space
+    n, mat = sp.nvars, g.matrix.tolist()
+    out = fs.FunctionOnV.zero(sp)
+    for exps, coeff in f.coeffs.items():
+        term = {(0,) * n: coeff}
+        for i, e in enumerate(exps):
+            form = {tuple(int(k == j) for k in range(n)): mat[j][i] for j in range(n) if mat[j][i]}
+            for _ in range(e):
+                term = reference_multiply(fs.FunctionOnV(sp, term), fs.FunctionOnV(sp, form))
+        out = out + fs.FunctionOnV(sp, term)
+    return out
+
+
+def functions(q, max_terms=12):
+    """Random functions at q, top exponents q-1 and repeated keys included."""
+    exps = st.tuples(*[st.integers(0, q - 1)] * 4)
+    return st.dictionaries(exps, st.integers(0, q - 1), max_size=max_terms).map(
+        lambda coeffs: fs.FunctionOnV(SPACES[q], coeffs)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), q=st.sampled_from([9, 25]))
+def test_product_matches_reference(data, q):
+    f, g = data.draw(functions(q)), data.draw(functions(q))
+    # t = 2: a keyed sum that added codes as integers would fail here
+    assert (f * g).coeffs == reference_multiply(f, g)
+    assert (f * g) == fs.FunctionOnV(SPACES[q], reference_multiply(f, g))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), q=st.sampled_from([9, 25]))
+def test_evaluate_all_matches_reference(data, q):
+    f = data.draw(functions(q, max_terms=6))
+    assert np.array_equal(f.evaluate_all(), reference_evaluate_all(f))
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_kernels_on_zero_single_and_top_terms(q):
+    sp = SPACES[q]
+    top = q - 1
+    zero, one = fs.FunctionOnV.zero(sp), fs.FunctionOnV.one(sp)
+    cases = [
+        zero,
+        one,
+        mono(sp, (top, top, top, top), coeff=top),
+        mono(sp, (top, 0, 1, top), coeff=2),
+        fs.FunctionOnV(sp, {(top, 0, 0, 0): 1, (0, 0, 0, 0): sp.field.neg(1)}),
+    ]
+    for f in cases:
+        assert np.array_equal(f.evaluate_all(), reference_evaluate_all(f))
+        for g in cases:
+            assert (f * g).coeffs == reference_multiply(f, g)
+    assert (zero * cases[2]).is_zero() and not zero.evaluate_all().any()
+    # x^(q-1) * x = x: the exponent sum q reduces to 1, never to 0
+    assert mono(sp, (top, 0, 0, 0)) * mono(sp, (1, 0, 0, 0)) == mono(sp, (1, 0, 0, 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_act_matches_reference(data):
+    sp = SPACES[9]
+    f = data.draw(functions(9, max_terms=4))
+    v = data.draw(st.tuples(*[st.integers(0, 8)] * 4).filter(any))
+    g = fs.symplectic_transvection(sp, v, data.draw(st.integers(1, 8)))
+    assert fs.act(g, f) == reference_act(g, f)
+
+
+def test_evaluate_all_refuses_spaces_past_the_cap():
+    sp = fs.FunctionSpace(3, build_field(5, 2))  # 25^6 cells, about 244 M
+    with pytest.raises(RangeError, match=str(fs.EVALUATION_CELLS)):
+        fs.FunctionOnV.one(sp).evaluate_all()
+    # the products still run there: they touch only the terms
+    x = mono(sp, (24, 0, 0, 0, 0, 1))
+    assert x * x == mono(sp, (24, 0, 0, 0, 0, 2))
+
+
+def test_monomial_keys_must_fit_int64():
+    with pytest.raises(RangeError, match="overflow"):
+        fs.FunctionSpace(4, build_field(3, 6))  # 729^8 > 2^63
+
+
+def test_apply_batch_matches_apply_q9(sp9):
+    ops = [fs.shift_operator(sp9, ell, j) for ell in (1, 2) for j in (0, 1)]
+    ops += [fs.shift_mirror(sp9, ell, j) for ell in (1, 2) for j in (0, 1)]
+    ops += [fs.digit_projector(sp9, a, b, j) for a in range(3) for b in range(3) for j in (0, 1)]
+    monos = np.array([(a, u, v, b) for a in range(9) for b in range(9) for u, v in ((0, 0), (2, 5), (8, 8))])
+    for op in ops:
+        src, images, codes = op.apply_batch(monos)
+        assert (np.diff(src) >= 0).all()
+        for row, exps in enumerate(monos.tolist()):
+            got = {tuple(e): c for e, c in zip(images[src == row].tolist(), codes[src == row].tolist())}
+            assert got == op.apply(fs.FunctionOnV(sp9, {tuple(exps): 1})).coeffs
+    with pytest.raises(RangeError):
+        ops[0].apply_batch(np.array([[9, 0, 0, 0]]))
+    with pytest.raises(RangeError):
+        ops[0].apply_batch(np.array([[1, 0, 0]]))
+
+
+def test_closed_forms_as_arrays_match_per_monomial(sp9):
+    monos = np.array(list(sp9.monomials()))
+    for ell in (1, 2):
+        for j in (0, 1):
+            hit, images, codes = fs.shift_predicted_terms(sp9, ell, j, monos)
+            for row in range(0, len(monos), 7):
+                want = fs.shift_predicted(sp9, ell, j, tuple(monos[row].tolist()))
+                got = {tuple(images[row].tolist()): int(codes[row])} if hit[row] else {}
+                assert got == want.coeffs
+    for alpha, beta, j in itertools.product(range(3), range(3), (0, 1)):
+        selects = fs.digit_projector_selects(sp9, alpha, beta, j, monos)
+        assert selects.tolist() == [
+            bool(fs.digit_projector_selects(sp9, alpha, beta, j, tuple(e))) for e in monos.tolist()
+        ]

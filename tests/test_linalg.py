@@ -153,3 +153,18 @@ def test_matmul_rejects_mismatched_shapes():
     for a, b in (((2, 3), (2, 3)), ((2, 2, 3), (3, 3, 1)), ((3,), (3, 1))):
         with pytest.raises(DimensionMismatch):
             linalg.matmul(f, np.zeros(a, dtype=np.uint8), np.zeros(b, dtype=np.uint8))
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=st.sampled_from(sorted(FIELDS)), data=st.data())
+def test_keyed_sum_matches_scalar_sums(q, data):
+    f = build_field(*FIELDS[q])
+    size = data.draw(st.integers(1, 12))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, q - 1)), max_size=60))
+    want = [0] * size
+    for key, code in pairs:
+        want[key] = f.add(want[key], code)
+    keys = np.array([k for k, _ in pairs], dtype=np.intp)
+    codes = np.array([c for _, c in pairs], dtype=f.dtype)
+    got = linalg.keyed_sum(f, keys, codes, size)
+    assert got.dtype == f.dtype and got.tolist() == want
