@@ -7,6 +7,11 @@ Exit codes: 0 success (and, for verify, formula/oracle match); 2 a
 scientific mismatch between formula and oracle; 1 operational errors,
 usage errors included.  A mismatch never masquerades as an operational
 failure.
+
+Each command imports the modules it uses when it runs.  `formula`, `table`,
+`dmatrix` and `posets` are pure integer arithmetic (`dimensions`, `posets`)
+and never import numpy; `verify`, `export`, `rank` and `lab` import it when
+they run.
 """
 
 from __future__ import annotations
@@ -19,11 +24,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import dimensions, geometry, incidence, ranks
+from . import dimensions
 from .errors import InvariantError, PolarankError, RangeError, ResourceCapExceeded
-from .gf import build_field
 from .reports import RankReport, Timer, field_descriptor, library_version
 
 DEFAULT_CELL_CAP = 500_000_000  # admits the q = 27 job at ~4.2e8 cells
@@ -58,6 +60,8 @@ class VerifyJob:
 
     def check_cap(self):
         """Refuse an incidence matrix of more than max_cells flat x point cells."""
+        from . import geometry
+
         q = self.p**self.t
         r_eff = self.r if self.r <= self.m else 2 * self.m - self.r
         cells = geometry.isotropic_count(self.m, r_eff, q) * geometry.point_count(self.m, q)
@@ -108,13 +112,17 @@ def _table_csv(doc: dict) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _space(job: VerifyJob) -> geometry.SymplecticSpace:
+def _space(job: VerifyJob):
+    """The job's W(2m-1, p^t), over a GF(p^t) built here."""
+    from . import geometry
+    from .gf import build_field
+
     return geometry.SymplecticSpace(job.m, build_field(job.p, job.t))
 
 
 def cmd_verify(job: VerifyJob) -> tuple[dict, int]:
     """The formula against the torus-weight oracle."""
-    from . import torus  # on use, like posets and labchecks: `import polarank.cli` stays cheap
+    from . import torus
 
     report = RankReport(job.m, job.p, job.t, job.r)
     timer = Timer()
@@ -156,6 +164,8 @@ def cmd_table(m: int, p_list, t_max: int) -> dict:
 
 
 def cmd_export(job: VerifyJob, path: str, fmt: str = "v1") -> dict:
+    from . import incidence
+
     job.check_cap()
     mat = incidence.build_incidence(_space(job), job.r)
     if fmt == "mm":
@@ -189,6 +199,10 @@ def cmd_export(job: VerifyJob, path: str, fmt: str = "v1") -> dict:
 
 
 def cmd_rank(path: str) -> dict:
+    import numpy as np
+
+    from . import incidence, ranks
+
     mat = incidence.read_matrix(path)
     # the kernel eliminates the orientation with min(rows, cols) columns: a basis
     # of at most min(rows, cols)^2 lanes, plus 8 bytes of CSR pointer for each

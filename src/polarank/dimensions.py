@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CompositeP, InvariantError, ParityError, RangeError, UnsupportedCharacteristic
-from .gf import is_prime
+from .primality import is_prime
 from .posets import HType, SignedHType, ideal_below, signed_ideal_below
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import FormatError, InvariantError, IoError, RangeError
-from .gf import is_prime
+from .primality import is_prime
 
 MAGIC = "polar-rank-incidence v1"
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RangeError
-from .gf import is_prime
+from .primality import is_prime
 
 
 def lane_dtype(p: int) -> type:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 
 
 def library_version() -> str:
@@ -67,6 +66,8 @@ class Timer:
 
 
 def load_schema() -> dict:
+    from importlib import resources  # only schema validation needs it
+
     with resources.files("polarank.schemas").joinpath("report.schema.json").open() as fh:
         return json.load(fh)
 

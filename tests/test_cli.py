@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -363,8 +365,8 @@ def test_formula_never_builds_the_field(capsys, monkeypatch):
     def refuse(p, t):
         raise RuntimeError(f"formula built GF({p}^{t})")
 
+    # the CLI binds no build_field of its own: every field is built through gf
     monkeypatch.setattr(gf, "build_field", refuse)
-    monkeypatch.setattr(cli, "build_field", refuse)
     for argv, want in (
         (("--m", "2", "--p", "10007", "--t", "1000", "--r", "2"), rank_W3_closed_form(10007, 1000)),
         (("--m", "4", "--p", "3", "--t", "1000", "--r", "4"), 1 + build_D_matrix(4, 3).trace_power(1000)),
@@ -394,3 +396,51 @@ def test_ranks_past_the_int_digit_limit_print(capsys):
         assert json.loads(outs[0][1])["columns"][1]["ranks"][-1] == big
         assert outs[1][1].rstrip().endswith(",%d" % big)
         assert json.loads(outs[2][1])["notes"][0].endswith(", %d]" % big)
+
+
+# a fresh interpreter in which any import of numpy raises, then one CLI run
+NUMPY_FREE_MAIN = """
+import sys
+
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise RuntimeError(f"a numpy-free command imported {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+from polarank import cli
+
+code = cli.main(sys.argv[1:])
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was loaded")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["formula", "--m", "3", "--p", "3", "--t", "10", "--r", "3", "--all-t", "3"],
+        ["table", "--m", "2", "--p", "3", "5", "--t-max", "4"],
+        ["table", "--m", "2", "--p", "3", "--t-max", "3", "--format", "csv"],
+        ["dmatrix", "--m", "4", "--p", "7"],
+        ["posets", "--m", "2", "--p", "3", "--t", "2", "--d", "3"],
+        ["posets", "--m", "2", "--p", "3", "--t", "1", "--dot", "h"],
+    ],
+    ids=["formula", "table", "table-csv", "dmatrix", "posets", "posets-dot"],
+)
+def test_formula_engine_commands_never_import_numpy(capsys, argv):
+    # the table at m = 2 carries the p = 2 (Sastry-Sin) column as well
+    want_code, want_out = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_MAIN, *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr.decode()
+    # bytes, not text mode: the CSV's \r\n row ends must compare as written
+    assert want_code == 0 and proc.stdout.decode() == want_out

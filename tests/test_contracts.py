@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import polarank
 from polarank import cli
 
@@ -21,6 +23,39 @@ def test_no_assert_invariants():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found, found
+
+
+# every name the package re-exports, by the submodule that defines it
+PACKAGE_SURFACE = {
+    "gf": "FieldSpec binom_mod_p build_field",
+    "geometry": "SymplecticSpace enumerate_all_subspaces enumerate_coisotropic "
+    "enumerate_isotropic enumerate_points gaussian_binomial isotropic_count perp point_count",
+    "incidence": "SparseIncidenceMatrix build_incidence incidence_from_flats read_matrix "
+    "write_matrix write_matrix_market",
+    "ranks": "DenseRowPacked rank_mod_p",
+    "posets": "HType LambdaType SignedHType enumerate_H enumerate_H_d enumerate_S "
+    "h_type_from_lambda ideal_below lambda_from_h_type signed_ideal_below signed_leq type_of",
+    "dimensions": "DimensionTable DMatrix build_D_matrix dim_L_signed dim_S_lambda "
+    "dim_S_plus_minus dim_Y_signed dim_Y_unsigned dimension_table rank_W3_char2 "
+    "rank_W3_closed_form rank_point_flat",
+}
+
+
+def test_package_surface_resolves_on_first_use():
+    surface = {name: module for module, names in PACKAGE_SURFACE.items() for name in names.split()}
+    assert len(surface) == 44
+    listed = dir(polarank)
+    for name, module in surface.items():
+        own = getattr(importlib.import_module(f"polarank.{module}"), name)
+        namespace = {}
+        exec(f"from polarank import {name}", namespace)
+        assert getattr(polarank, name) is own and namespace[name] is own, name
+        assert name in listed, name
+    assert "__version__" in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polarank.no_such_name
+    with pytest.raises(ImportError):
+        exec("from polarank import no_such_name", {})
 
 
 # matrix files from outside: not UTF-8, a negative column count, an Arabic-Indic
