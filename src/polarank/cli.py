@@ -206,7 +206,9 @@ def cmd_rank(path: str) -> dict:
     mat = incidence.read_matrix(path)
     # the kernel eliminates the orientation with min(rows, cols) columns: a basis
     # of at most min(rows, cols)^2 lanes, plus 8 bytes of CSR pointer for each
-    # of its max(rows, cols) rows
+    # of its max(rows, cols) rows; its screen of dependent rows adds a fixed
+    # ranks.SCREEN_BYTES (512 KiB) that does not grow with the file, so the cap
+    # leaves it out
     lane = np.dtype(ranks.lane_dtype(mat.modulus)).itemsize
     nbytes = min(mat.rows, mat.cols) ** 2 * lane + 8 * max(mat.rows, mat.cols)
     if nbytes > BASIS_BYTE_CAP:

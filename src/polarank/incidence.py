@@ -171,9 +171,12 @@ def build_incidence(space, r: int) -> SparseIncidenceMatrix:
     else:
         flats = geometry.enumerate_coisotropic(space, r)
     mat = incidence_from_flats(space, flats)
-    sums = np.unique(mat.col_sums())
-    if len(sums) != 1:
-        raise InvariantError(f"flat family is not point-transitive: column sums {sums.tolist()}")
+    # min against max rather than np.unique, whose sort path imports numpy.ma
+    sums = mat.col_sums()
+    if not sums.size or sums.min() != sums.max():
+        raise InvariantError(
+            f"flat family is not point-transitive: column sums {sorted(set(sums.tolist()))}"
+        )
     return mat
 
 

@@ -444,3 +444,38 @@ def test_formula_engine_commands_never_import_numpy(capsys, argv):
     assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr.decode()
     # bytes, not text mode: the CSV's \r\n row ends must compare as written
     assert want_code == 0 and proc.stdout.decode() == want_out
+
+
+NUMPY_MA_PROBE = """
+import sys
+
+import numpy
+
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+from polarank import cli
+
+code = cli.main(sys.argv[1:])
+sys.exit(code if code else 4 if "numpy.ma" in sys.modules else 0)
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "export", "rank"])
+def test_oracle_commands_leave_numpy_ma_unloaded(tmp_path, capsys, command):
+    # numpy.ma costs 10-13 ms of import (-X importtime); `np.unique` is one way to load it
+    path = str(tmp_path / "w53.mat")
+    argv = {
+        "verify": ["verify", "--m", "3", "--p", "3", "--t", "1", "--r", "4"],
+        "export": ["export", "--m", "3", "--p", "3", "--t", "1", "--r", "4", "--matrix-out", path],
+        "rank": ["rank", path],
+    }[command]
+    if command == "rank":
+        assert run(capsys, "export", "--m", "3", "--p", "3", "--t", "1", "--r", "4",
+                   "--matrix-out", path)[0] == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, *argv],
+                          capture_output=True, env=env, timeout=60)
+    if proc.returncode == 3:
+        pytest.skip("import numpy alone loads numpy.ma here")
+    assert proc.returncode == 0, (proc.returncode, proc.stderr.decode())

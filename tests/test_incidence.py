@@ -91,7 +91,7 @@ def test_broken_oracle_invariants_raise(w33, monkeypatch):
     # point transitivity in build_incidence, then the rank checks behind perp
     real = geometry.enumerate_isotropic
     monkeypatch.setattr(geometry, "enumerate_isotropic", lambda sp, r: real(sp, r)[:-1])
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"not point-transitive: column sums \[3, 4\]$"):
         build_incidence(w33, 2)
     # an elimination that drops the last row of every item
     real_rref = linalg.rref_stack

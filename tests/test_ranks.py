@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from polarank import ranks
 from polarank.errors import RangeError
 from polarank.gf import build_field
 from polarank.geometry import SymplecticSpace
@@ -203,3 +204,115 @@ def test_streaming_agrees_on_acceptance_matrices():
     assert rank_mod_p(t) == 343
     # the wide 364 x 3640 orientation, fed as is rather than re-transposed
     assert direct_rank(dense.T, 3) == 343
+
+
+def _screening_case(kind, p, shape, rank, seed):
+    """A rows x cols matrix over GF(p) of rank at most `rank`, in one of the
+    row patterns `eliminate` stops early on or screens in blocks."""
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    base = rng.integers(0, p, size=(rank, cols))
+    if kind == "full-early":  # the first rows already span everything
+        lead = (np.eye(cols, dtype=np.int64) + np.triu(rng.integers(0, p, size=(cols, cols)), 1)) % p
+        rest = rng.integers(0, p, size=(rows - cols, cols))
+        return np.vstack([lead, rest]) if rows >= cols else lead[:rows]
+    # the first half spans only half the rank, so a screened block that
+    # crosses into the second half has survivors
+    coeffs = rng.integers(0, p, size=(rows, rank))
+    coeffs[: rows // 2, rank // 2:] = 0
+    mat = coeffs @ base % p
+    if kind == "duplicates":  # long runs of one repeated row
+        starts = np.sort(rng.choice(rows, size=3, replace=False))
+        for lo, hi in zip(starts, [*starts[1:], rows]):
+            mat[lo:hi] = mat[lo]
+    elif kind == "zeros":
+        mat[rng.random(rows) < 0.6] = 0
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["planted", "duplicates", "zeros", "full-early"]),
+    p=st.sampled_from([3, 13, 257, 65537]),
+    orient=st.sampled_from(["tall", "wide", "square"]),
+    rank=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stop_and_screen_match_reference_property(kind, p, orient, rank, seed):
+    # 80-120 long rows and 12-30 short: runs of dependent rows pass
+    # SCREEN_AFTER, so blocks are screened; the lanes span every width, and
+    # p = 65537 needs float64 where the others fit float32
+    rng = np.random.default_rng(seed)
+    short, long_ = int(rng.integers(12, 31)), int(rng.integers(80, 121))
+    shape = {"tall": (long_, short), "wide": (short, long_), "square": (long_, long_)}[orient]
+    if kind == "full-early":
+        shape = (max(shape), min(shape))
+    mat = _screening_case(kind, p, shape, min(rank, min(shape)), seed)
+    if orient == "wide" and kind == "full-early":
+        mat = mat.T
+    acc = eliminate(mat, p)
+    assert acc.rank == reference_rank(mat, p) == direct_rank(mat, p)
+    assert acc.rows_seen <= max(mat.shape)
+
+
+def test_screen_exactness_bound():
+    assert ranks._exact_float(3, 10**6) is np.float32
+    # 255 * 256^2 + 256 <= 2^24 < 256 * 256^2 + 256
+    assert ranks._exact_float(257, 255) is np.float32
+    assert ranks._exact_float(257, 256) is np.float64
+    assert ranks._exact_float(65537, 1) is np.float64
+    assert ranks._exact_float(65537, 2**21 - 1) is np.float64
+    assert ranks._exact_float(65537, 2**21) is None
+    assert ranks._exact_float(4294967291, 1) is None
+    acc = DenseRowPacked(3, 4294967291)
+    acc.insert([1, 2, 3])
+    with pytest.raises(RangeError):
+        acc.screen(np.zeros((1, 3), dtype=np.uint64))
+
+
+@pytest.mark.parametrize("p", [257, 4294967291])
+def test_screen_across_the_float32_bound_and_without_a_float(p, monkeypatch):
+    # at p = 257 dependent runs at rank 200 and 262 are screened in float32
+    # and float64; at p = 4294967291 no float is exact, so nothing is
+    rng = np.random.default_rng(3)
+    base = rng.integers(0, p, size=(262, 270), dtype=np.int64)
+    mat = np.vstack([base[:200], base[rng.integers(0, 200, size=100)], base[200:],
+                     base[rng.integers(0, 262, size=100)]])
+    screened = []
+    screen = DenseRowPacked.screen
+    monkeypatch.setattr(DenseRowPacked, "screen",
+                        lambda acc, block: screened.append(acc.rank) or screen(acc, block))
+    acc = eliminate(mat, p)
+    assert acc.rank == direct_rank(mat, p) == 262
+    assert acc.rows_seen == 462
+    if p == 257:
+        assert min(screened) < 256 <= max(screened)
+    else:
+        assert not screened
+
+
+def _counting_inserts(monkeypatch):
+    calls = []
+    insert = DenseRowPacked.insert
+    monkeypatch.setattr(DenseRowPacked, "insert",
+                        lambda acc, row, **kw: calls.append(1) or insert(acc, row, **kw))
+    return calls
+
+
+def test_identical_wide_rows_are_screened_not_inserted(monkeypatch):
+    # two all-ones rows of 200000 columns: 200000 rows of 2 lanes once oriented
+    n = 200_000
+    mat = SparseIncidenceMatrix(2, n, 3, np.array([0, n, 2 * n]), np.tile(np.arange(n), 2))
+    calls = _counting_inserts(monkeypatch)
+    acc = eliminate(mat)
+    assert (acc.transposed, acc.rank, acc.rows_seen) == (True, 1, n)
+    assert len(calls) <= ranks.SCREEN_AFTER + 1
+
+
+def test_feeding_stops_at_full_rank(monkeypatch):
+    csr, dense = line_prefix(3, 2, 100)  # 100 x 820: rank 100 is reached at row 243
+    calls = _counting_inserts(monkeypatch)
+    acc = eliminate(csr)
+    assert (acc.transposed, acc.rank) == (True, 100)
+    assert len(calls) <= acc.rows_seen < 820
+    assert rank_mod_p(dense, 3) == direct_rank(dense, 3) == 100
