@@ -9,20 +9,27 @@ arrays: a product is one outer sum of the two exponent arrays through the
 reduction table (e -> e - (q-1) while e >= q, which preserves q-1 and never
 creates a spurious 0), one outer product of the codes, and one GF(q) keyed
 sum over the monomial keys (`linalg.keyed_sum`).  Evaluation on all of V is
-a separable transform: the coefficients scattered into a (q,)*2m tensor,
-each axis contracted with the power table.
+a separable transform over the exponent prefixes that occur, each
+coordinate contracted with the power table.
 
 The group acts by coordinate substitution, the convention the
 shift-operator computations are written in: act(g, f) replaces coordinate i
 by the linear form read off column i of g's matrix, and
-act(g*h, f) = act(g, act(h, f)).
+act(g*h, f) = act(g, act(h, f)).  `act` substitutes one moved coordinate at
+a time for all terms at once; the powers of a linear form come from the
+multinomial theorem with Lucas' rule.
 
 The shift operators and digit projectors are group-ring elements built from
 transvections of the (x_1, y_1) plane, which fix every other coordinate.  Each
 is kept as a PlaneOperator: the images of the q^2 plane monomials
-x_1^a y_1^b, built once from `act`.  Sums and products combine these
+x_1^a y_1^b, built once from the powers of the substituted linear forms.
+Sums and products combine these
 columns, and applying an operator leaves the middle exponents alone;
 `apply_batch` sends a whole (N, 2m) exponent array through in one pass.
+
+The symplectic basis of one type is built as a whole matrix by one
+broadcast product of per-digit options (`symplectic_basis_matrix`), and its
+ranks and expansions go block by block (`linalg.DiagonalBlocks`).
 
 Scalars throughout are field codes; integer binomials and factorials enter
 through the prime subfield.
@@ -47,7 +54,7 @@ from .errors import (
 )
 from .gf import FieldSpec, binom_mod_p
 from .geometry import SymplecticSpace
-from .posets import LambdaType, SignedHType, h_type_from_lambda, signed_leq, type_of
+from .posets import LambdaType, SignedHType, h_type_from_lambda, signed_leq
 
 # largest q^(2m) that evaluate_all tabulates: it holds one code per vector of V
 EVALUATION_CELLS = 1 << 24
@@ -80,6 +87,9 @@ class FunctionSpace:
         self._shift_cache = {}
         self._projector_cache = {}
         self._basis_cache = {}
+        self._matrix_cache = {}
+        self._digit_cache = {}
+        self._power_cache = {}
 
     def exponents(self, alpha, beta) -> tuple:
         """Exponent tuple of x^alpha y^beta in coordinate order."""
@@ -255,11 +265,14 @@ class FunctionOnV:
     def evaluate_all(self) -> np.ndarray:
         """Values on every vector of V, in lexicographic vector order.
 
-        The coefficients fill a (q,)*2m code tensor, and each axis in turn
-        is contracted with the power table pow[v, e] = v^e (0^0 = 1): after
-        the contraction of axis i, the tensor holds the partial sums over
-        e_1..e_i with v_1..v_i substituted.  Only the exponents that occur
-        at coordinate i can give nonzero slices of axis i.
+        A separable transform that contracts the last coordinate first and
+        keeps only the exponent prefixes that occur: before the contraction
+        of coordinate i, row g of `values` holds, for one prefix
+        (e_1..e_i), the partial sum over the terms with that prefix as a
+        (q,)*(2m-i) block of values of v_(i+1)..v_2m.  The rows are grouped
+        by their prefixes without e_i and each group is contracted with the
+        power table pow[v, e] = v^e (0^0 = 1) over the e_i that occur.  A
+        sparse function thus costs a few full-size passes, a dense one 2m.
         """
         sp = self.space
         q, n = sp.q, sp.nvars
@@ -268,14 +281,18 @@ class FunctionOnV:
                 f"evaluating on all of V needs q^(2m) = {q}^{n} cells, over the cap of {EVALUATION_CELLS}"
             )
         pow_t = sp.field.np_tables()[4]
-        exps, codes = self.terms()
-        values = np.zeros(q**n, dtype=sp.field.dtype)
-        values[sp.keys(exps)] = codes
-        for i in range(n):
-            # contract the leading axis over the exponents that occur there;
-            # the new axis of values v_i moves to the back
-            used = np.unique(exps[:, i])
-            values = linalg.matmul(sp.field, pow_t[:, used], values.reshape(q, -1)[used]).T.copy()
+        prefix, values = self.terms()
+        if not len(prefix):
+            return np.zeros(q**n, dtype=sp.field.dtype)
+        values = values[:, None]
+        for i in range(n - 1, -1, -1):
+            head = prefix[:, :i]
+            _, first, group = np.unique(head @ sp.place[n - i :], return_index=True, return_inverse=True)
+            used, at = np.unique(prefix[:, i], return_inverse=True)
+            block = np.zeros((len(first), len(used), values.shape[1]), dtype=values.dtype)
+            block[group.reshape(-1), at.reshape(-1)] = values
+            values = linalg.matmul(sp.field, pow_t[:, used], block).reshape(len(first), -1)
+            prefix = head[first]
         return values.reshape(-1)
 
     def __repr__(self):
@@ -396,73 +413,130 @@ def transvection_y(space: FunctionSpace, mu_code: int) -> GroupElement:
     return symplectic_transvection(space, space.symplectic.e(1), mu_code)
 
 
-def _linear_form_power(space: FunctionSpace, terms, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_j c_j z_j)^e in `terms()` form; terms is ((code, var index), ...), e >= 1."""
-    fld, n = space.field, space.nvars
+def _multinomial_terms(space: FunctionSpace, r: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of (z_1 + ... + z_r)^e mod p for e < q: (k, coef), every
+    (k_1, ..., k_r) with sum e whose multinomial coefficient is nonzero mod
+    p, as rows of k, and that coefficient.
+
+    By Lucas' rule e!/(k_1! ... k_r!) is nonzero mod p exactly when the
+    base-p digits of the k_i add up to those of e without carries, and it
+    is then the product over digits of the digit multinomials; a digit
+    multinomial is the product of the binomials C(e_d - k_1d - ... -
+    k_(i-1)d, k_id).  So only nonzero terms are listed.  Cached on the space.
+    """
+    cached = space._power_cache.get((r, e))
+    if cached is not None:
+        return cached
+    p = space.p
+    k = np.zeros((1, r), dtype=np.int64)
+    coef = np.ones(1, dtype=np.int64)
+    for d in range(space.t):
+        e_d = e // p**d % p
+        k_d = np.array(_compositions(e_d, r, p - 1), dtype=np.int64).reshape(-1, r)
+        c_d = []
+        for row in k_d.tolist():
+            c, left = 1, e_d
+            for k_i in row:
+                c, left = c * binom_mod_p(left, k_i, p) % p, left - k_i
+            c_d.append(c)
+        k = (k[:, None] + p**d * k_d[None]).reshape(-1, r)
+        coef = (coef[:, None] * np.array(c_d, dtype=np.int64)[None] % p).reshape(-1)
+    out = (k.astype(space.field.dtype), coef.astype(space.field.dtype))
+    space._power_cache[(r, e)] = out
+    return out
+
+
+def _form_powers(space: FunctionSpace, form, powers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sum_j form[j] z_j)^e for each e in `powers` (distinct, below q), by
+    the multinomial theorem: (starts, exps, codes), the power powers[i]
+    being the distinct monomials exps[starts[i]:starts[i + 1]] with their
+    nonzero codes.  No exponent needs reduction, since each is at most e."""
+    fld = space.field
     mul_t, pow_t = fld.np_tables()[1], fld.np_tables()[4]
-    if len(terms) == 2:
-        # binomial expansion; exponents e-k, k are both <= q-1 already
-        (c1, j1), (c2, j2) = terms
-        k = np.arange(e + 1)
-        binom = np.array([binom_mod_p(e, i, space.p) for i in k], dtype=fld.dtype)
-        exps = np.zeros((e + 1, n), dtype=fld.dtype)
-        exps[:, j1], exps[:, j2] = e - k, k
-        return _collect(space, space.keys(exps), mul_t[binom, mul_t[pow_t[c1, e - k], pow_t[c2, k]]])
-    exps = np.zeros((len(terms), n), dtype=fld.dtype)
-    codes = np.zeros(len(terms), dtype=fld.dtype)
-    for row, (c, j) in enumerate(terms):
-        exps[row, j], codes[row] = 1, c
-    if len(terms) == 1:
-        exps[0] *= e
-        return exps, pow_t[codes, e]
-    order = np.argsort(space.keys(exps))
-    base, result = (exps[order], codes[order]), None
-    while e:  # square and multiply
-        if e & 1:
-            result = base if result is None else _multiply_terms(space, result, base)
-        e >>= 1
-        if e:
-            base = _multiply_terms(space, base, base)
-    return result
+    form = np.asarray(form)
+    support = np.flatnonzero(form)
+    parts = [_multinomial_terms(space, len(support), e) for e in powers]
+    k = np.concatenate([part[0] for part in parts])
+    codes = np.concatenate([part[1] for part in parts])
+    for i, j in enumerate(support.tolist()):
+        codes = mul_t[codes, pow_t[form[j], k[:, i]]]
+    exps = np.zeros((len(k), space.nvars), dtype=fld.dtype)
+    exps[:, support] = k
+    starts = np.cumsum([0] + [len(part[1]) for part in parts])
+    return starts, exps, codes
+
+
+def _group(field: FieldSpec, keys: list, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Terms that agree on every key array are one: (rep, summed), the index
+    of one member of each group whose GF(q) sum is nonzero, and that sum.
+    The groups come in lexicographic order of their keys, the last key first."""
+    order = np.lexsort(keys)
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for key in keys:
+        ranked = key[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    group = np.cumsum(first) - 1
+    summed = linalg.keyed_sum(field, group, codes[order], int(group[-1]) + 1)
+    keep = summed != 0
+    return order[first][keep], summed[keep]
 
 
 def act(g: GroupElement, f: FunctionOnV) -> FunctionOnV:
     """Coordinate substitution action; multiplicative: act(g*h, f) = act(g, act(h, f)).
 
-    The monomials are grouped by the exponents of the coordinates that g
-    moves, and each group is one partial sum over the exponents of the
-    others.  The moved coordinates are substituted one at a time: each
-    group's sum is multiplied by the power of the substituted linear form,
-    and the groups that then agree on the remaining moved exponents are
-    collected by one keyed sum.
+    A term is a monomial in the coordinates substituted so far and in the
+    ones g fixes, times the pending exponents of the moved coordinates not
+    yet substituted.  Each moved coordinate i is substituted for all terms
+    in one pass: every term is paired with every monomial of the power of
+    column i's linear form that its pending exponent asks for (the powers
+    from `_form_powers`), the monomials multiply through the reduction
+    table and the codes through the field, and the products that agree on
+    their remaining pending exponents and their monomial are added by one
+    keyed sum.  The pairs go through in blocks of CHUNK_PAIRS.
     """
     if g.space != f.space:
         raise ContextMismatch("group element and function contexts differ")
     sp = f.space
-    n = sp.nvars
-    mat = g.matrix.tolist()
-    # column i of the matrix is the linear form substituted for coordinate i
-    columns = [tuple((mat[j][i], j) for j in range(n) if mat[j][i]) for i in range(n)]
-    moved = [i for i, col in enumerate(columns) if col != ((1, i),)]
     exps, codes = f.terms()
-    rest = exps.copy()
-    rest[:, moved] = 0
-    groups = {}
-    for row, key in enumerate(map(tuple, exps[:, moved].tolist())):
-        groups.setdefault(key, []).append(row)
-    # a group's rows differ outside the moved coordinates, so they stay sorted and distinct
-    groups = {key: (rest[rows], codes[rows]) for key, rows in groups.items()}
-    for i in moved:
-        powers, merged = {}, {}
-        for key, part in groups.items():
-            e = key[0]
-            if e:
-                if e not in powers:
-                    powers[e] = _linear_form_power(sp, columns[i], e)
-                part = _multiply_terms(sp, part, powers[e])
-            merged.setdefault(key[1:], []).append(part)
-        groups = {key: _sum_terms(sp, parts) for key, parts in merged.items()}
-    return FunctionOnV._from_terms(sp, *groups.get((), (exps[:0], codes[:0])))
+    mat = g.matrix
+    # column i of the matrix is the linear form substituted for coordinate i
+    moved = np.flatnonzero((mat != np.eye(sp.nvars, dtype=mat.dtype)).any(axis=0))
+    if not (len(moved) and len(codes)):
+        return f
+    mul_t = sp.field.np_tables()[1]
+    pending = exps[:, moved].astype(np.int64)
+    mono = exps.copy()
+    mono[:, moved] = 0
+    # a row of pending exponents as one base-q number
+    pend_place = sp.q ** np.arange(len(moved) - 1, -1, -1, dtype=np.int64)
+
+    def collect(mono, rest, codes):
+        rep, summed = _group(sp.field, [sp.keys(mono), rest @ pend_place[len(pend_place) - rest.shape[1] :]], codes)
+        return mono[rep], rest[rep], summed
+
+    for i in moved.tolist():
+        powers, which = np.unique(pending[:, 0], return_inverse=True)
+        starts, p_exps, p_codes = _form_powers(sp, mat[:, i], powers.tolist())
+        which = which.reshape(-1)
+        counts = np.diff(starts)[which]
+        done = np.cumsum(counts)
+        parts = []
+        lo = 0
+        while lo < len(codes):
+            # terms lo:hi make at most CHUNK_PAIRS pairs; a term with more is a block alone
+            hi = max(lo + 1, int(np.searchsorted(done, done[lo] - counts[lo] + CHUNK_PAIRS, side="right")))
+            n_pairs = counts[lo:hi]
+            src = np.repeat(np.arange(lo, hi), n_pairs)
+            at = starts[which[src]] + np.arange(len(src)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+            prod = sp.reduced[mono[src].astype(np.intp) + p_exps[at]]
+            parts.append(collect(prod, pending[src, 1:], mul_t[codes[src], p_codes[at]]))
+            lo = hi
+        mono, pending, codes = parts[0] if len(parts) == 1 else collect(*map(np.concatenate, zip(*parts)))
+        if not len(codes):
+            break
+    # with no pending exponents left the groups are the monomials, in key order
+    return FunctionOnV._from_terms(sp, mono, codes)
 
 
 # -- plane operators -------------------------------------------------------------
@@ -597,7 +671,10 @@ def _transvection_images(space: FunctionSpace, mirror: bool) -> list:
 
     x_1 moves (y_1 for the mirror) and the other plane variable is fixed.
     Every shift operator of one side sums the same images with its own
-    weights, so they are built once, by `act`, and cached on the space.
+    weights, so they are built once and cached on the space.  The action
+    substitutes the moved variable's column of the matrix, so the image of
+    its s-th power is that linear form's s-th power: all q powers come from
+    one `_form_powers` call per mu.
     """
     cached = space._plane_images.get(mirror)
     if cached is not None:
@@ -608,16 +685,13 @@ def _transvection_images(space: FunctionSpace, mirror: bool) -> list:
     images = []
     for mu in range(1, q):
         g = make(space, fld.inv(mu))
-        row = []
-        for s in range(q):
-            exps = [0] * n
-            exps[moved] = s
-            image = act(g, FunctionOnV(space, {tuple(exps): 1}, _trusted=True)).coeffs
-            for e in image:
-                if any(e[1:-1]):
-                    raise InvariantError(f"plane transvection moved a middle variable: {e}")
-            row.append({(e[0], e[-1]): c for e, c in image.items()})
-        images.append(row)
+        starts, exps, codes = _form_powers(space, g.matrix[:, moved], range(q))
+        if exps[:, 1:-1].any():
+            bad = exps[exps[:, 1:-1].any(axis=1)][0]
+            raise InvariantError(f"plane transvection moved a middle variable: {tuple(bad.tolist())}")
+        plane = list(zip(exps[:, 0].tolist(), exps[:, -1].tolist()))
+        codes = codes.tolist()
+        images.append([dict(zip(plane[lo:hi], codes[lo:hi])) for lo, hi in zip(starts[:-1], starts[1:])])
     space._plane_images[mirror] = images
     return images
 
@@ -859,38 +933,36 @@ class SymplecticBasisFunction:
     def expand(self) -> FunctionOnV:
         sp = self.space
         fld = sp.field
-        p = sp.p
         total = {(0,) * sp.nvars: 1}
         for j, digit in enumerate(self.digits):
-            scale = p**j
-            parts = []
-            if digit[0] == "mono":
-                parts.append((digit[1], 1))
-            elif digit[0] == "diag":
-                alpha = digit[1]
-                abar = tuple(p - 1 - a for a in alpha)
-                parts.append((sp.exponents(alpha, abar), 1))
-            else:
-                _, alpha, beta = digit
-                parts.append((sp.exponents(alpha, beta), 1))
-                c = (-1) ** (sum(beta) + sp.m)
-                for a in alpha:
-                    c = c * math.factorial(a)
-                for b in beta:
-                    c = c * math.factorial(b)
-                c %= p
-                if digit[0] == "minus":
-                    c = (-c) % p
-                bbar = tuple(p - 1 - b for b in beta)
-                abar = tuple(p - 1 - a for a in alpha)
-                parts.append((sp.exponents(bbar, abar), c))
+            scale = sp.p**j
             new = {}
             for e1, c1 in total.items():
-                for e2, c2 in parts:
+                for e2, c2 in _digit_terms(sp, digit):
                     key = tuple(a + scale * b for a, b in zip(e1, e2))
                     new[key] = fld.mul(c1, c2)
             total = new
         return FunctionOnV(sp, total)
+
+
+def _digit_terms(space, digit) -> list:
+    """The one or two (exponent tuple, prime-field code) terms of a digit descriptor."""
+    p = space.p
+    if digit[0] == "mono":
+        return [(digit[1], 1)]
+    alpha = digit[1]
+    abar = tuple(p - 1 - a for a in alpha)
+    if digit[0] == "diag":
+        return [(space.exponents(alpha, abar), 1)]
+    beta = digit[2]
+    c = (-1) ** (sum(beta) + space.m)
+    for a in alpha + beta:
+        c = c * math.factorial(a)
+    c %= p
+    if digit[0] == "minus":
+        c = (-c) % p
+    bbar = tuple(p - 1 - b for b in beta)
+    return [(space.exponents(alpha, beta), 1), (space.exponents(bbar, abar), c)]
 
 
 def _mono_digit_options(space, lam_j):
@@ -924,19 +996,56 @@ def _digit_options(space, lam_j):
     return out
 
 
+def _check_type(space: FunctionSpace, lam) -> tuple:
+    lam = tuple(lam)
+    hi = 2 * space.m * (space.p - 1)
+    if len(lam) != space.t or any(not 0 <= l <= hi for l in lam):
+        raise RangeError(f"bad type tuple {lam}")
+    return lam
+
+
+def _digit_table(space: FunctionSpace, lam_j: int) -> tuple:
+    """The options of one digit of degree lam_j as (options, exps, codes,
+    signed): `_digit_options` in order, the (k, 2, 2m) exponents and (k, 2)
+    codes of each option's one or two terms (a missing second term has code
+    0), and whether each option is diag or plus.  Cached on the space."""
+    cached = space._digit_cache.get(lam_j)
+    if cached is not None:
+        return cached
+    options = _digit_options(space, lam_j)
+    exps = np.zeros((len(options), 2, space.nvars), dtype=np.int64)
+    codes = np.zeros((len(options), 2), dtype=space.field.dtype)
+    for k, digit in enumerate(options):
+        for s, (e, c) in enumerate(_digit_terms(space, digit)):
+            exps[k, s], codes[k, s] = e, c
+    signed = np.array([digit[0] in ("diag", "plus") for digit in options], dtype=bool)
+    out = (options, exps, codes, signed)
+    space._digit_cache[lam_j] = out
+    return out
+
+
+def signed_counts(space: FunctionSpace, lam) -> list:
+    """Per digit j, how many basis functions of type lambda have a diag or
+    plus option there, so carry j in their signature when j is in the type's
+    j-set; the product of the option counts, with digit j's restricted."""
+    tables = [_digit_table(space, l) for l in _check_type(space, lam)]
+    return [
+        int(table[3].sum()) * math.prod(len(other[0]) for k, other in enumerate(tables) if k != j)
+        for j, table in enumerate(tables)
+    ]
+
+
 def symplectic_basis(space: FunctionSpace, lam) -> list:
     """All symplectic basis functions of type lambda, deterministic order."""
     lam = tuple(lam)
     cached = space._basis_cache.get(lam)
     if cached is not None:
         return cached
-    hi = 2 * space.m * (space.p - 1)
-    if len(lam) != space.t or any(not 0 <= l <= hi for l in lam):
-        raise RangeError(f"bad type tuple {lam}")
+    lam = _check_type(space, lam)
     lt = type_of_lambda(space, lam)
     h = h_type_from_lambda(lt)
     js = h.j_set()
-    options = [_digit_options(space, l) for l in lam]
+    options = [_digit_table(space, l)[0] for l in lam]
     out = []
     stypes = {}  # one shared SignedHType per signature: a type has p^(2mt) functions at most
     for combo in itertools.product(*options):
@@ -953,10 +1062,6 @@ def type_of_lambda(space: FunctionSpace, lam) -> LambdaType:
     p, t, q = space.p, space.t, space.q
     total = sum(l * p**j for j, l in enumerate(lam))
     return LambdaType(space.m, p, t, tuple(lam), total % (q - 1))
-
-
-def monomial_type(space: FunctionSpace, exps) -> tuple:
-    return type_of(exps, space.m, space.p, space.t).lam
 
 
 def char_function(space: FunctionSpace, sub) -> FunctionOnV:
@@ -985,39 +1090,74 @@ def char_function(space: FunctionSpace, sub) -> FunctionOnV:
     return out
 
 
-def symplectic_basis_matrix(space: FunctionSpace, lam) -> tuple[dict, np.ndarray]:
-    """(index, A) for the symplectic basis of type lambda: index numbers the
-    monomials its functions expand into, in sorted order, and column k of the
-    code matrix A holds the coefficients of basis function k."""
-    expanded = [b.expand().coeffs for b in symplectic_basis(space, lam)]
-    index = {e: i for i, e in enumerate(sorted({e for coeffs in expanded for e in coeffs}))}
-    a = np.zeros((len(index), len(expanded)), dtype=space.field.dtype)
-    for k, coeffs in enumerate(expanded):
-        for e, c in coeffs.items():
-            a[index[e], k] = c
-    return index, a
+def symplectic_basis_matrix(space: FunctionSpace, lam) -> tuple[np.ndarray, linalg.DiagonalBlocks]:
+    """(keys, blocks) for the symplectic basis of type lambda.
+
+    `blocks` is the sparse code matrix whose column k holds the coefficients
+    of basis function k (in `symplectic_basis` order) on the monomials whose
+    sorted base-q keys are `keys`, split into its diagonal blocks for ranks
+    and solves (`linalg.DiagonalBlocks`).  The whole type is one broadcast product:
+    each digit offers its options' one or two terms (`_digit_table`), a
+    column picks one option per digit,
+    and its terms are the 2^t picks of one term per digit, with exponent
+    sum_j p^j e_j (no reduction, every e_j entry is below p) and code the
+    product of the prime-field codes.  Cached on the space.
+    """
+    lam = tuple(lam)
+    cached = space._matrix_cache.get(lam)
+    if cached is not None:
+        return cached
+    lam = _check_type(space, lam)
+    mul_t = space.field.np_tables()[1]
+    n = space.nvars
+    exps = np.zeros((1, 1, n), dtype=np.int64)  # (columns, terms, 2m)
+    codes = np.ones((1, 1), dtype=space.field.dtype)
+    for j, l in enumerate(lam):
+        _, e_j, c_j, _ = _digit_table(space, l)
+        (cols, terms), k = codes.shape, len(c_j)
+        exps = (exps[:, None, :, None] + space.p**j * e_j[None, :, None]).reshape(cols * k, terms * 2, n)
+        codes = mul_t[codes[:, None, :, None], c_j[None, :, None, :]].reshape(cols * k, terms * 2)
+    col, term = np.nonzero(codes)
+    keys, row = np.unique(space.keys(exps[col, term]), return_inverse=True)
+    # the terms of a column have distinct exponents, so the entries are distinct
+    out = (keys, linalg.DiagonalBlocks((len(keys), len(codes)), row.reshape(-1), col, codes[col, term]))
+    space._matrix_cache[lam] = out
+    return out
+
+
+def monomial_types(space: FunctionSpace, exps) -> np.ndarray:
+    """The type lambda of every row of an (k, 2m) exponent array: lambda_j is
+    the sum over coordinates of the j-th base-p digits."""
+    p, exps = space.p, np.asarray(exps, dtype=np.int64)
+    return (exps[:, :, None] // p ** np.arange(space.t) % p).sum(axis=1)
 
 
 def expand_in_symplectic_basis(f: FunctionOnV) -> list:
-    """Exact expansion of f as [(code, SymplecticBasisFunction), ...]."""
+    """Exact expansion of f as [(code, SymplecticBasisFunction), ...].
+
+    f's terms are split by type, and each type's part is solved against its
+    basis matrix block by block (`linalg.DiagonalBlocks.solve`); only the
+    blocks f touches are reduced.  Types come in sorted order, and basis
+    functions within a type in `symplectic_basis` order.
+    """
     sp = f.space
-    fld = sp.field
-    by_type = {}
-    for exps, c in f.coeffs.items():
-        by_type.setdefault(monomial_type(sp, exps), {})[exps] = c
+    exps, codes = f.terms()
+    types, of_type = np.unique(monomial_types(sp, exps), axis=0, return_inverse=True)
+    f_keys, of_type = sp.keys(exps), of_type.reshape(-1)
     out = []
-    for lam, block in sorted(by_type.items()):
-        basis = symplectic_basis(sp, lam)
-        index, a = symplectic_basis_matrix(sp, lam)
-        rhs = np.zeros(len(index), dtype=a.dtype)
-        for e, c in block.items():
-            rhs[index[e]] = c
-        sol = linalg.solve(fld, a, rhs)
+    for idx, lam in enumerate(map(tuple, types.tolist())):
+        keys, blocks = symplectic_basis_matrix(sp, lam)
+        mine = of_type == idx
+        at = np.searchsorted(keys, f_keys[mine])
+        if (at == len(keys)).any() or (keys[np.minimum(at, len(keys) - 1)] != f_keys[mine]).any():
+            raise InvariantError(f"symplectic basis of type {lam} misses a monomial of that type")
+        rhs = np.zeros(len(keys), dtype=sp.field.dtype)
+        rhs[at] = codes[mine]
+        sol = blocks.solve(sp.field, rhs)
         if sol is None:
             raise InvariantError(f"symplectic basis does not span type {lam}")
-        for kcol, b in enumerate(basis):
-            if sol[kcol]:
-                out.append((int(sol[kcol]), b))
+        basis = symplectic_basis(sp, lam)
+        out.extend((int(sol[k]), basis[k]) for k in np.flatnonzero(sol).tolist())
     return out
 
 

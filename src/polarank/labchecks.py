@@ -189,7 +189,7 @@ def projector_orthogonality_check(space) -> dict:
             continue
         comp = fs.digit_projector(space, a1, b1, 0) * fs.digit_projector(space, a2, b2, 0)
         cases += len(monos)
-        for row in np.unique(comp.apply_batch(monos)[0]).tolist():
+        for row in np.flatnonzero(np.bincount(comp.apply_batch(monos)[0], minlength=len(monos))).tolist():
             failures.append({"pairs": [[a1, b1], [a2, b2]], "exps": plane[row].tolist()})
     return _result("digit-projector-orthogonality", cases, failures)
 
@@ -211,9 +211,11 @@ def tau_check(m, p) -> dict:
 
 
 def basis_span_check(space, lam_list=None) -> dict:
-    """Per type: symplectic basis count, independence, and signature split."""
-    from .ranks import rank_mod_p
+    """Per type: symplectic basis count, independence, and signature split.
 
+    Each type's basis matrix is built at once (`symplectic_basis_matrix`)
+    and ranked as the sum of its diagonal blocks.
+    """
     m, p, t = space.m, space.p, space.t
     hi = 2 * m * (p - 1)
     table = dimensions.dimension_table(m, p)
@@ -222,21 +224,19 @@ def basis_span_check(space, lam_list=None) -> dict:
         lam_list = list(itertools.product(range(hi + 1), repeat=t))
     failures = []
     for lam in lam_list:
-        basis = fs.symplectic_basis(space, lam)
+        keys, blocks = fs.symplectic_basis_matrix(space, lam)
         expect = 1
         for l in lam:
             expect *= table[l]
-        ok = len(basis) == expect
+        ok = blocks.shape[1] == expect
         if ok and expect:
-            index, mat = fs.symplectic_basis_matrix(space, lam)
-            ok = not (mat >= p).any() and len(index) == expect and rank_mod_p(mat, p) == expect
+            ok = not (blocks.entries[2] >= p).any() and len(keys) == expect and blocks.rank(space.field) == expect
         if ok:
             h = h_type_from_lambda(fs.type_of_lambda(space, lam))
+            counts = fs.signed_counts(space, lam)
+            copies = expect // table[m * (p - 1)]
             for j in h.j_set():
-                plus_count = sum(1 for b in basis if j in b.stype.eps)
-                minus_count = len(basis) - plus_count
-                blocks = expect // table[m * (p - 1)]
-                if (plus_count, minus_count) != (plus * blocks, minus * blocks):
+                if (counts[j], expect - counts[j]) != (plus * copies, minus * copies):
                     ok = False
         if not ok:
             failures.append({"lam": list(lam)})

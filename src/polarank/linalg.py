@@ -8,10 +8,12 @@ column step for all items; the 2-D calls are that loop on a stack of one.
 ``matmul`` is every GF(q) product in the package, from points c.G of flats
 and isotropy tests to products of symplectic matrices and the evaluation of
 functions on V.  ``keyed_sum`` adds codes into cells: the torus route's
-character sums and the function-space lab's products.  Stacks reach about a
-million small items (the perps of every isotropic flat), single matrices a
-few hundred rows (the function-space lab); the large GF(p) rank kernel lives
-in ranks.py.
+character sums and the function-space lab's products.  ``DiagonalBlocks``
+splits a sparse matrix into the connected components of its nonzero pattern
+and ranks and solves them as stacks, one per component shape: the lab's
+symplectic basis matrices, whose columns have at most 2^t nonzeros.  Stacks
+reach about a million small items (the perps of every isotropic flat); the
+large GF(p) rank kernel lives in ranks.py.
 """
 
 from __future__ import annotations
@@ -120,23 +122,6 @@ def rank(field: FieldSpec, matrix) -> int:
     return rref(field, matrix)[0].shape[0]
 
 
-def solve(field: FieldSpec, matrix, rhs):
-    """One solution x of A x = b, or None if inconsistent.
-
-    A is (m x n), b length m; returns a length-n numpy code vector.  When the
-    system is underdetermined the free variables are set to zero.
-    """
-    a = as_code_matrix(field, matrix)
-    b = as_code_matrix(field, rhs).reshape(-1, 1)
-    aug, pivots = rref(field, np.concatenate([a, b], axis=1))
-    n = a.shape[1]
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=aug.dtype)
-    x[list(pivots)] = aug[:, n]
-    return x
-
-
 def nullspace(field: FieldSpec, matrix) -> np.ndarray:
     """RREF basis of {v : A v = 0} as rows, for A (k, n) or a stack (B, k, n).
 
@@ -162,3 +147,115 @@ def nullspace(field: FieldSpec, matrix) -> np.ndarray:
     if (ranks != n - rk).any():
         raise InvariantError(f"nullspace basis has rank {int(ranks.min())}, not {n - rk}")
     return out.reshape(lead + (n - rk, n))
+
+
+class DiagonalBlocks:
+    """A sparse code matrix split into the connected components of its
+    nonzero pattern, row i and column j being joined where A[i, j] != 0.
+
+    It is given by its shape and its entries A[row[k], col[k]] = values[k]
+    (distinct positions, any order; zero values are dropped), and keeps
+    them row-major in `entries`.  `groups` holds one (rows, cols, stack)
+    triple per component shape: (B, r) and (B, c) index arrays, ascending
+    within a component, and the (B, r, c) stack of those components,
+    stack[b] = A[rows[b][:, None], cols[b]].  Every nonzero entry lies in a
+    component, so the rank is the sum of the component ranks; zero rows and
+    columns are in none.  No dense copy of A is made.
+
+    The components are found as the torus route finds orbits: every column
+    takes the least label among the columns it shares a row with, then
+    points to its label's label, until the labels stop changing.
+    """
+
+    def __init__(self, shape, row, col, values):
+        self.shape = nrows, ncols = tuple(int(s) for s in shape)
+        values = np.asarray(values)
+        keep = values != 0
+        row, col, values = np.asarray(row)[keep], np.asarray(col)[keep], values[keep]
+        order = np.lexsort((col, row))
+        self.entries = row, col, values = row[order], col[order], values[order]
+        self.groups = []
+        if not len(row):
+            return
+        by_col = np.argsort(col, kind="stable")
+        new_row = np.ones(len(row), dtype=bool)
+        new_row[1:] = row[1:] != row[:-1]
+        row_starts, row_of = np.flatnonzero(new_row), np.cumsum(new_row) - 1
+        new_col = np.ones(len(col), dtype=bool)
+        new_col[1:] = col[by_col][1:] != col[by_col][:-1]
+        col_starts = np.flatnonzero(new_col)
+        cols = col[by_col][col_starts]  # the nonzero columns, ascending
+        label = np.arange(ncols)
+        while True:
+            # the least label in each row, then in each column's rows; a
+            # column's own label is among them, so labels only decrease
+            low = np.minimum.reduceat(label[col], row_starts)[row_of]
+            new = label.copy()
+            new[cols] = np.minimum.reduceat(low[by_col], col_starts)
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        # a component is named by its least column; number them 0..K-1, a
+        # row's component being any of its columns'
+        root = np.zeros(ncols, dtype=bool)
+        root[cols] = label[cols] == cols
+        index = np.cumsum(root) - 1
+        size = int(root.sum())
+        members = []
+        local = []  # the place of each nonzero row (column) within its component
+        for comp, idx, bound in ((index[label[col[row_starts]]], row[row_starts], nrows), (index[label[cols]], cols, ncols)):
+            count = np.bincount(comp, minlength=size)
+            order = np.argsort(comp, kind="stable")
+            first = np.cumsum(count) - count
+            place = np.empty(bound, dtype=np.intp)
+            place[idx[order]] = np.arange(len(idx)) - np.repeat(first, count)
+            members.append((idx[order], first, count))
+            local.append(place)
+        (rmem, rfirst, nr), (cmem, cfirst, nc) = members
+        shapes, of_shape = np.unique(nr * (ncols + 1) + nc, return_inverse=True)
+        of_shape = of_shape.reshape(-1)
+        slot = np.empty(size, dtype=np.intp)  # a component's place in its shape's stack
+        comp = index[label[col]]
+        for s, key in enumerate(shapes.tolist()):
+            r, c = divmod(key, ncols + 1)
+            ks = np.flatnonzero(of_shape == s)
+            slot[ks] = np.arange(len(ks))
+            mine = np.flatnonzero(of_shape[comp] == s)
+            stack = np.zeros((len(ks), r, c), dtype=values.dtype)
+            stack[slot[comp[mine]], local[0][row[mine]], local[1][col[mine]]] = values[mine]
+            self.groups.append((rmem[rfirst[ks, None] + np.arange(r)], cmem[cfirst[ks, None] + np.arange(c)], stack))
+
+    def rank(self, field: FieldSpec) -> int:
+        return sum(int(rref_stack(field, stack)[2].sum()) for _, _, stack in self.groups)
+
+    def solve(self, field: FieldSpec, rhs):
+        """One solution x of A x = b, or None if inconsistent.
+
+        Free variables are set to zero.  A column is a pivot of the whole
+        matrix exactly when it is one of its component, so this is the
+        solution a Gauss-Jordan pass over the whole matrix would give.
+        Components whose part of b is zero get x = 0 and are not reduced.
+        """
+        nrows, ncols = self.shape
+        b = as_code_matrix(field, rhs).reshape(-1)
+        if b.shape != (nrows,):
+            raise DimensionMismatch(f"right side of length {b.size} for {nrows} rows")
+        x = np.zeros(ncols, dtype=field.dtype)
+        unmet = b != 0
+        for rows, cols, stack in self.groups:
+            part = b[rows]
+            unmet[rows] = False
+            live = part.any(axis=1)
+            if not live.any():
+                continue
+            cols, part = cols[live], part[live]
+            aug = np.concatenate([stack[live], part[:, :, None]], axis=2)
+            red, pivots, _ = rref_stack(field, aug)
+            n = cols.shape[1]
+            if (pivots == n).any():
+                return None
+            item, i = np.nonzero(pivots < n)
+            x[cols[item, pivots[item, i]]] = red[item, i, n]
+        # a nonzero entry of b on a zero row of A has no solution
+        return None if unmet.any() else x

@@ -62,6 +62,15 @@ def lane_dtype(p: int) -> type:
     raise RangeError(f"modulus {p} is too large for a 64-bit lane")
 
 
+def _residues(a: np.ndarray, p: int, dtype: type) -> np.ndarray:
+    """Integer entries reduced mod p, as lanes of `dtype`.  Unsigned input
+    is reduced in uint64, so entries of 2^63 or more stay exact; any other
+    input goes through int64."""
+    if a.dtype.kind == "u":
+        return np.mod(a.astype(np.uint64), np.uint64(p)).astype(dtype)
+    return np.mod(a.astype(np.int64), p).astype(dtype)
+
+
 def _exact_float(p: int, rank: int) -> type | None:
     """The narrowest float in which a product of `rank` terms of residues mod p,
     minus a residue, is exact: rank*(p-1)^2 + (p-1) within its mantissa.
@@ -126,7 +135,7 @@ class DenseRowPacked:
             raise RangeError(f"row must have length {self.cols}")
         if a.dtype == self.dtype and a.max(initial=0) < self.p:
             return a.astype(self.dtype, copy=True)
-        return np.mod(a.astype(np.int64), self.p).astype(self.dtype)
+        return _residues(a, self.p, self.dtype)
 
     def insert(self, row, *, owned: bool = False) -> bool:
         """Reduce a row against the basis; insert if independent.
@@ -279,8 +288,7 @@ def eliminate(mat, p: int | None = None) -> DenseRowPacked:
             return acc.insert(mat[i])
 
         def block(lo, hi):
-            lanes = mat[lo:hi].astype(np.int64)
-            return np.mod(lanes, p, out=lanes).astype(acc.dtype)
+            return _residues(mat[lo:hi], p, acc.dtype)
 
     i, run, step = 0, 0, SCREEN_FIRST
     while i < n_rows and acc.rank < cols:

@@ -301,6 +301,20 @@ def test_lab_ledger_pinned_at_q9(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "p, t, want",
+    [
+        (3, 3, "954b138aa438dda13e16d398ff5bf0c4be712b9182d71537531e62dcdec98288"),
+        (5, 2, "ad0e03fd2e1c2dc959bab7cb81585eddcda870bb8aef0d1e7b04e11a07cf54ca"),
+    ],
+)
+def test_lab_ledger_pinned_past_exhaustive(capsys, p, t, want):
+    # q^4 past the exhaustive limit: sampled sweeps, no basis suite
+    code, out = run(capsys, "lab", "verify-lemmas", "--m", "2", "--p", str(p), "--t", str(t))
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = cli.main(

@@ -10,6 +10,7 @@ from polarank import funcspace as fs
 from polarank.dimensions import dim_S_plus_minus, dimension_table
 from polarank.errors import ContextMismatch, DegreeError, InvariantError, NotSymplectic, RangeError
 from polarank.gf import build_field
+from polarank.posets import type_of
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +304,7 @@ def test_expand_single_plain_monomial_is_itself(sp9):
 
 
 def test_expand_without_solution_raises(sp9, monkeypatch):
-    monkeypatch.setattr(fs.linalg, "solve", lambda *args: None)
+    monkeypatch.setattr(fs.linalg.DiagonalBlocks, "solve", lambda *args: None)
     with pytest.raises(InvariantError):
         fs.expand_in_symplectic_basis(mono(sp9, (1, 2, 0, 0)))
 
@@ -578,3 +579,182 @@ def test_closed_forms_as_arrays_match_per_monomial(sp9):
         assert selects.tolist() == [
             bool(fs.digit_projector_selects(sp9, alpha, beta, j, tuple(e))) for e in monos.tolist()
         ]
+
+
+# -- symplectic basis by type and block, act by coordinate, against the old routes ------
+
+BASIS_SPACES = [(2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 3, 1)]
+
+
+def reference_basis_matrix(space, lam):
+    """The type's matrix built one basis function at a time from expand()."""
+    expanded = [b.expand().coeffs for b in fs.symplectic_basis(space, lam)]
+    index = {e: i for i, e in enumerate(sorted({e for coeffs in expanded for e in coeffs}))}
+    a = np.zeros((len(index), len(expanded)), dtype=space.field.dtype)
+    for k, coeffs in enumerate(expanded):
+        for e, c in coeffs.items():
+            a[index[e], k] = c
+    return index, a
+
+
+def all_types(space):
+    return itertools.product(range(2 * space.m * (space.p - 1) + 1), repeat=space.t)
+
+
+@pytest.mark.parametrize("mpt", BASIS_SPACES)
+def test_basis_matrix_by_type_matches_expand(mpt):
+    from polarank.ranks import rank_mod_p
+
+    m, p, t = mpt
+    sp = fs.FunctionSpace(m, build_field(p, t))
+    for lam in all_types(sp):
+        index, want = reference_basis_matrix(sp, lam)
+        keys, blocks = fs.symplectic_basis_matrix(sp, lam)
+        assert keys.tolist() == sp.keys(np.array(list(index), dtype=np.int64).reshape(-1, sp.nvars)).tolist()
+        row, col, values = blocks.entries
+        got = np.zeros(blocks.shape, dtype=values.dtype)
+        got[row, col] = values
+        assert np.array_equal(got, want)
+        assert blocks.rank(sp.field) == rank_mod_p(want, p) == want.shape[1]
+        assert fs.symplectic_basis_matrix(sp, lam) is fs.symplectic_basis_matrix(sp, lam)
+        basis = fs.symplectic_basis(sp, lam)
+        assert fs.signed_counts(sp, lam) == [sum(j in b.stype.eps for b in basis) for j in range(t)]
+    with pytest.raises(RangeError):
+        fs.symplectic_basis_matrix(sp, (2 * m * (p - 1) + 1,) * t)
+
+
+def reference_expansion(f):
+    """Expansion by one Gauss-Jordan solve of the whole type matrix per type."""
+    sp = f.space
+    by_type = {}
+    for exps, c in f.coeffs.items():
+        by_type.setdefault(type_of(exps, sp.m, sp.p, sp.t).lam, {})[exps] = c
+    out = []
+    for lam, block in sorted(by_type.items()):
+        index, a = reference_basis_matrix(sp, lam)
+        rhs = np.zeros(len(index), dtype=a.dtype)
+        for e, c in block.items():
+            rhs[index[e]] = c
+        aug, pivots = fs.linalg.rref(sp.field, np.concatenate([a, rhs[:, None]], axis=1))
+        assert a.shape[1] not in pivots
+        sol = np.zeros(a.shape[1], dtype=a.dtype)
+        sol[list(pivots)] = aug[:, a.shape[1]]
+        out += [(int(c), b) for c, b in zip(sol.tolist(), fs.symplectic_basis(sp, lam)) if c]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_expand_by_blocks_matches_full_solve(data):
+    f = data.draw(functions(9, max_terms=10))
+    got = fs.expand_in_symplectic_basis(f)
+    assert got == reference_expansion(f)
+    total = fs.FunctionOnV.zero(f.space)
+    for c, b in got:
+        total = total + b.expand().scale(c)
+    assert total == f
+
+
+def test_expand_by_blocks_matches_full_solve_on_char_functions(sp9):
+    chi = fs.char_function(sp9, lagrangian_x_zero(sp9))
+    for f in (chi, chi - fs.FunctionOnV.one(sp9), fs.FunctionOnV.zero(sp9)):
+        assert fs.expand_in_symplectic_basis(f) == reference_expansion(f)
+
+
+def test_monomial_types_match_per_monomial(sp9):
+    exps = np.array(list(sp9.monomials()))
+    assert fs.monomial_types(sp9, exps).tolist() == [list(type_of(e, 2, 3, 2).lam) for e in map(tuple, exps.tolist())]
+
+
+ACT_SPACES = {**SPACES, 27: fs.FunctionSpace(2, build_field(3, 3))}
+
+
+def reference_form_power(sp, column, e):
+    """(sum_j column[j] z_j)^e by square and multiply through the product kernel."""
+    terms = [(int(c), j) for j, c in enumerate(column) if c]
+    fld, n = sp.field, sp.nvars
+    if e == 0:
+        return np.zeros((1, n), dtype=fld.dtype), np.ones(1, dtype=fld.dtype)
+    exps = np.zeros((len(terms), n), dtype=fld.dtype)
+    codes = np.zeros(len(terms), dtype=fld.dtype)
+    for row, (c, j) in enumerate(terms):
+        exps[row, j], codes[row] = 1, c
+    order = np.argsort(sp.keys(exps))
+    base, result = (exps[order], codes[order]), None
+    while e:
+        if e & 1:
+            result = base if result is None else fs._multiply_terms(sp, result, base)
+        e >>= 1
+        if e:
+            base = fs._multiply_terms(sp, base, base)
+    return result
+
+
+def reference_act_by_groups(g, f):
+    """The action group by group: monomials grouped by their moved exponents,
+    each group's partial sum multiplied by a square-and-multiply power."""
+    sp = f.space
+    mat = g.matrix
+    moved = [i for i in range(sp.nvars) if mat[:, i].tolist() != np.eye(sp.nvars, dtype=int)[:, i].tolist()]
+    exps, codes = f.terms()
+    rest = exps.copy()
+    rest[:, moved] = 0
+    groups = {}
+    for row, key in enumerate(map(tuple, exps[:, moved].tolist())):
+        groups.setdefault(key, []).append(row)
+    groups = {key: (rest[rows], codes[rows]) for key, rows in groups.items()}
+    for i in moved:
+        merged = {}
+        for key, part in groups.items():
+            if key[0]:
+                part = fs._multiply_terms(sp, part, reference_form_power(sp, mat[:, i], key[0]))
+            merged.setdefault(key[1:], []).append(part)
+        groups = {key: fs._sum_terms(sp, parts) for key, parts in merged.items()}
+    return fs.FunctionOnV._from_terms(sp, *groups.get((), (exps[:0], codes[:0])))
+
+
+@pytest.mark.parametrize("q", sorted(ACT_SPACES))
+def test_form_powers_match_square_and_multiply(q):
+    sp = ACT_SPACES[q]
+    rng = random.Random(q)
+    forms = [[0, 0, 3, 0], [1, 0, 0, q - 1], [2, 1, 0, 1], [rng.randrange(1, q) for _ in range(4)]]
+    for form in forms:
+        starts, exps, codes = fs._form_powers(sp, np.array(form), range(q))
+        for e in range(q):
+            lo, hi = starts[e], starts[e + 1]
+            got = dict(zip(map(tuple, exps[lo:hi].tolist()), codes[lo:hi].tolist()))
+            want_exps, want_codes = reference_form_power(sp, form, e)
+            want = {k: c for k, c in zip(map(tuple, want_exps.tolist()), want_codes.tolist()) if c}
+            assert got == want, (form, e)
+            assert len(got) == hi - lo and all(got.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), q=st.sampled_from(sorted(ACT_SPACES)), kind=st.sampled_from(["sparse", "full", "product"]))
+def test_act_matches_group_by_group_reference(data, q, kind):
+    sp = ACT_SPACES[q]
+
+    def transvection(full):
+        v = data.draw(st.tuples(*[st.integers(1 if full else 0, q - 1)] * 4).filter(any))
+        return fs.symplectic_transvection(sp, v, data.draw(st.integers(1, q - 1)))
+
+    g = transvection(kind == "full")
+    if kind == "product":
+        g = g * transvection(data.draw(st.booleans()))
+    # full-support forms raise every exponent to a dense power: keep them low
+    emax = q - 1 if kind == "sparse" else min(q - 1, 6)
+    exps = st.tuples(*[st.integers(0, emax)] * 4)
+    f = fs.FunctionOnV(sp, data.draw(st.dictionaries(exps, st.integers(0, q - 1), max_size=4)))
+    assert fs.act(g, f) == reference_act_by_groups(g, f)
+
+
+def test_act_in_small_chunks_matches_reference(sp9, monkeypatch):
+    rng = random.Random(5)
+    g = fs.symplectic_transvection(sp9, (1, 2, 3, 4), 5) * fs.symplectic_transvection(sp9, (0, 7, 0, 2), 1)
+    f = fs.FunctionOnV(sp9, {tuple(rng.randrange(9) for _ in range(4)): rng.randrange(1, 9) for _ in range(6)})
+    want = reference_act_by_groups(g, f)
+    assert fs.act(g, f) == want
+    monkeypatch.setattr(fs, "CHUNK_PAIRS", 7)  # many blocks, and terms wider than a block
+    assert fs.act(g, f) == want
+    assert fs.act(fs.GroupElement.identity(sp9), f) == f
+    assert fs.act(g, fs.FunctionOnV.zero(sp9)).is_zero()

@@ -13,6 +13,19 @@ from polarank.gf import build_field
 FIELDS = {3: (3, 1), 9: (3, 2), 25: (5, 2)}
 
 
+def blocks_of(matrix):
+    a = np.asarray(matrix)
+    row, col = np.nonzero(a)
+    return linalg.DiagonalBlocks(a.shape, row, col, a[row, col])
+
+
+def dense_of(blocks):
+    row, col, values = blocks.entries
+    a = np.zeros(blocks.shape, dtype=values.dtype)
+    a[row, col] = values
+    return a
+
+
 def apply(f, a, x):
     """A x by scalar field products."""
     out = []
@@ -73,7 +86,7 @@ def test_solve_and_nullspace():
     a = [[rng.randrange(9) for _ in range(6)] for _ in range(4)]
     x = [rng.randrange(9) for _ in range(6)]
     b = apply(f, a, x)
-    sol = linalg.solve(f, a, b)
+    sol = blocks_of(a).solve(f, b)
     assert sol is not None
     assert apply(f, a, sol) == b
     ns = linalg.nullspace(f, a)
@@ -86,7 +99,7 @@ def test_solve_and_nullspace():
 def test_solve_inconsistent_returns_none():
     f = build_field(3, 1)
     a = [[1, 0], [1, 0]]
-    assert linalg.solve(f, a, [1, 2]) is None
+    assert blocks_of(a).solve(f, [1, 2]) is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,3 +181,63 @@ def test_keyed_sum_matches_scalar_sums(q, data):
     codes = np.array([c for _, c in pairs], dtype=f.dtype)
     got = linalg.keyed_sum(f, keys, codes, size)
     assert got.dtype == f.dtype and got.tolist() == want
+
+
+@st.composite
+def sparse_matrices(draw, q):
+    """A code matrix with a few nonzeros per column, so it splits into blocks."""
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    a = np.zeros((rows, cols), dtype=np.uint8)
+    for j in range(cols if rows else 0):
+        for i in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+            a[i, j] = draw(st.integers(1, q - 1))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), data=st.data())
+def test_block_rank_matches_rank_mod_p(p, data):
+    from polarank.ranks import rank_mod_p
+
+    a = data.draw(sparse_matrices(p))
+    # entries in any order, explicit zeros among them
+    row, col = np.nonzero(np.ones_like(a)) if data.draw(st.booleans()) else np.nonzero(a)
+    order = data.draw(st.permutations(range(len(row))))
+    blocks = linalg.DiagonalBlocks(a.shape, row[order], col[order], a[row, col][order])
+    assert blocks.rank(build_field(p, 1)) == (rank_mod_p(a, p) if a.size else 0)
+    # the blocks hold every nonzero entry once, rows and columns ascending
+    seen = np.zeros(a.shape, dtype=int)
+    for rows, cols, stack in blocks.groups:
+        seen[rows[:, :, None], cols[:, None, :]] += 1
+        assert (np.diff(rows, axis=1) > 0).all() and (np.diff(cols, axis=1) > 0).all()
+        assert np.array_equal(stack, a[rows[:, :, None], cols[:, None, :]])
+    assert (seen[a != 0] == 1).all() and seen.max(initial=0) <= 1
+    assert np.array_equal(dense_of(blocks), a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from(sorted(FIELDS)), consistent=st.booleans(), data=st.data())
+def test_block_solve_matches_whole_matrix_solve(q, consistent, data):
+    f = build_field(*FIELDS[q])
+    a = data.draw(sparse_matrices(q))
+    rows, cols = a.shape
+    if consistent:
+        x = data.draw(arrays(np.uint8, cols, elements=st.integers(0, q - 1)))
+        b = np.array(apply(f, a, x), dtype=np.uint8)
+    else:
+        b = data.draw(arrays(np.uint8, rows, elements=st.integers(0, q - 1)))
+    got = blocks_of(a).solve(f, b)
+    # one Gauss-Jordan pass over the whole augmented matrix, free variables 0
+    red, pivots = reference_rref(f, np.concatenate([a, b[:, None]], axis=1), cols + 1)
+    if cols in pivots:
+        assert got is None
+        return
+    want = [0] * cols
+    for row, c in zip(red, pivots):
+        want[c] = row[cols]
+    assert got is not None and got.tolist() == want
+
+
+def test_block_solve_rejects_a_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        blocks_of(np.eye(3, dtype=np.uint8)).solve(build_field(3, 1), [1, 2])

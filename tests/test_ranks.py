@@ -63,6 +63,34 @@ def test_multiples_of_p_vanish():
     assert rank_mod_p([[6, 3], [9, 12]], 3) == 0
 
 
+def test_unsigned_entries_past_int64_reduce_exactly():
+    # 2^63 + 1 and 2^64 - 1 are 0 mod 3; cast to int64 they wrap to nonzero residues
+    big = np.array([[2**63 + 1, 2**64 - 1]], dtype=np.uint64)
+    assert rank_mod_p(big, 3) == 0
+    assert rank_mod_p(np.array([[2**63 + 1]], dtype=np.uint64), 3) == 0
+    assert rank_mod_p(np.array([[2**64 - 1, 1]], dtype=np.uint64), 3) == 1
+    # mod 5 the first is 4 and the second 0
+    assert rank_mod_p(big.T, 5) == 1
+    acc = DenseRowPacked(2, 3)
+    assert not acc.insert(big[0]) and acc.rank == 0
+    assert acc.coerce_row(np.array([2**64 - 2, 2**63], dtype=np.uint64)).tolist() == [
+        (2**64 - 2) % 3, 2**63 % 3,
+    ]
+
+
+def test_unsigned_entries_past_int64_in_screened_blocks(monkeypatch):
+    # after SCREEN_AFTER dependent rows the rest are read and screened as blocks
+    rows = [[1, 0, 0]] + [[3, 0, 3]] * ranks.SCREEN_AFTER + [[2**63 + 1, 2**64 - 1, 2**63 + 4]] * 40
+    rows += [[2**64 - 2, 0, 0], [0, 2**63, 2**64 - 1]]  # 1, 2 and 0 mod 3: raise the rank to 2
+    mat = np.array(rows, dtype=np.uint64)
+    screened = []
+    screen = DenseRowPacked.screen
+    monkeypatch.setattr(DenseRowPacked, "screen",
+                        lambda acc, block: screened.append(len(block)) or screen(acc, block))
+    assert rank_mod_p(mat, 3) == direct_rank([[x % 3 for x in row] for row in rows], 3) == 2
+    assert sum(screened) >= 40
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 257, 263, 65537])
 def test_random_matrices_match_reference(p):
     rng = np.random.default_rng(20 + p)
